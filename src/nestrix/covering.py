@@ -28,10 +28,7 @@ from fractions import Fraction
 
 from .exact import frac, frac_str
 from .nesting import (
-    NestingError,
     NestingOracle,
-    PLRealm,
-    cover_generated,
     face_in_c_eta,
     pullback,
 )
@@ -54,20 +51,16 @@ from .simplicial import (
     level_subcomplex,
     mesh_sq,
     prism_complex,
-    product_at_level,
     sorted_vs,
-    subdivide,
     t_n_complex,
     vkey,
 )
 from .symbolic import (
     AffineSimplex,
     FormalChain,
-    chain_in_c_eta,
     chains_equal,
     cone_simplex,
     deformed,
-    pushforward,
 )
 
 
@@ -295,14 +288,6 @@ def deformation_map(covering: CompatibleCovering):
         return FormalChain.single(deformed(covering, face_key))
 
     return delta
-
-
-def apply_face_map(cx: OrderedSimplicialComplex, face_fn, chain):
-    """Linear extension of a per-face map to a simplicial chain."""
-    out = FormalChain.zero(None)
-    for key, c in chain.items():
-        out = out.add(face_fn(frozenset(key)), c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,19 +523,6 @@ class ProjectionData:
     pi: dict        # face of the simplex -> FormalChain (small chains)
     h0: dict        # accepted face -> FormalChain homotopy
     h: dict         # all faces -> FormalChain (after the extension)
-    registry_tag: tuple = ()
-
-    def pi_chain(self, chain):
-        out = FormalChain.zero(None)
-        for key, c in chain.items():
-            out = out.add(self.pi[frozenset(key)], c)
-        return out
-
-    def h_chain(self, chain):
-        out = FormalChain.zero(None)
-        for key, c in chain.items():
-            out = out.add(self.h[frozenset(key)], c)
-        return out
 
 
 def small_chain_projection(k, eta: NestingOracle, n_cap=6, k_cap=3
@@ -617,8 +589,7 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6, k_cap=3
                           pi=pi, h0=h0, h=h)
 
 
-def boundary_in_small_chains(points, eta: NestingOracle, registry=None,
-                             n_cap=6, k_cap=3):
+def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6, k_cap=3):
     """A small chain whose boundary equals the boundary of the given
     simplex; the simplex's boundary must already be small.
 
@@ -638,10 +609,7 @@ def boundary_in_small_chains(points, eta: NestingOracle, registry=None,
                  for j in range(len(pts[0])))
     f = AffineMap(rows, tuple(Fraction(0) for _ in range(len(pts[0]))))
     back = pullback(f, eta)
-    if registry is not None:
-        data = registry.projection(k, back)
-    else:
-        data = small_chain_projection(k, back, n_cap, k_cap)
+    data = small_chain_projection(k, back, n_cap, k_cap)
     top = frozenset(range(k + 1))
     x = data.pi[top]
     for sub, c in data.cyl.base_complex.boundary_of_face(top).items():

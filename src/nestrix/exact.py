@@ -6,17 +6,21 @@ Everything in here is computed over Z (arbitrary-precision ints) or Q
 * ``IntMatrix``        -- immutable integer matrices,
 * ``smith_normal_form`` -- U*A*V = D with unimodular U, V and a divisibility
   chain on the diagonal, plus the tracked inverses,
-* lattice calculus      -- bases, membership, preimages, quotients,
+* lattice calculus      -- bases, membership, preimages, coordinates in a
+  basis (``lattice_coordinates``),
 * ``FinChainComplex``   -- bounded complexes of free Z-modules with
   homology / cohomology / boundary solving,
 * ``Presentation``      -- finitely generated abelian groups given as
-  Z^rank / column-span(relations), with homs, kernels, cokernels and the
-  cohomology of a complex of presented groups.
+  Z^rank / column-span(relations), with homs, kernels and cokernels.
+
+``presented_cohomology_at`` is the one cohomology routine: homology, Z and
+Z/m cohomology of a chain complex and every sheaf-cohomology pipeline ask
+it for the middle of G0 -> G1 -> G2 on presented groups.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,6 +78,12 @@ class IntMatrix:
     @classmethod
     def column(cls, vec):
         return cls(len(vec), 1, list(vec))
+
+    @classmethod
+    def from_columns(cls, rows, columns):
+        """The matrix with the given columns, each of length ``rows``."""
+        return cls(rows, len(columns), [[c[i] for c in columns]
+                                        for i in range(rows)])
 
     @classmethod
     def diagonal(cls, entries):
@@ -351,14 +361,43 @@ def image_basis(A: IntMatrix) -> IntMatrix:
     """Columns form a basis of the column span of A over Z."""
     snf = smith_normal_form(A)
     diag = snf.diagonal()
-    cols = []
-    for j, d in enumerate(diag):
+    cols = [tuple(d * snf.U_inv.entry(i, j) for i in range(A.rows))
+            for j, d in enumerate(diag) if d != 0]
+    return IntMatrix.from_columns(A.rows, cols)
+
+
+class NotABoundary:
+    """Certificate that a cycle is not in the image of the boundary map.
+
+    ``index`` is the Smith pivot position at which divisibility fails (or
+    where a nonzero coordinate survives past the rank), and ``value`` /
+    ``divisor`` describe the failing divisibility test.
+    """
+
+    def __init__(self, index, value, divisor):
+        self.index = index
+        self.value = value
+        self.divisor = divisor
+
+    def __repr__(self):
+        return (f"NotABoundary(index={self.index}, value={self.value}, "
+                f"divisor={self.divisor})")
+
+
+def _back_substitute(snf: SmithDecomposition, b, cols):
+    """x with A x = b from A's Smith form, or the NotABoundary that fails."""
+    c = snf.U.apply(b)
+    diag = snf.diagonal()
+    y = [0] * cols
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
         if d != 0:
-            cols.append(tuple(d * snf.U_inv.entry(i, j) for i in range(A.rows)))
-    if not cols:
-        return IntMatrix(A.rows, 0, [])
-    return IntMatrix(A.rows, len(cols),
-                     [[c[i] for c in cols] for i in range(A.rows)])
+            if ci % d != 0:
+                return NotABoundary(i, ci, d)
+            y[i] = ci // d
+        elif ci != 0:
+            return NotABoundary(i, ci, 0)
+    return snf.V.apply(y)
 
 
 def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
@@ -370,19 +409,8 @@ def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
         snf = smith_normal_form(A)
     if len(b) != A.rows:
         raise ExactAlgebraError("rhs length mismatch")
-    c = snf.U.apply(b)
-    diag = snf.diagonal()
-    y = [0] * A.cols
-    for i in range(A.rows):
-        ci = c[i]
-        if i < len(diag) and diag[i] != 0:
-            if ci % diag[i] != 0:
-                return None
-            if i < A.cols:
-                y[i] = ci // diag[i]
-        elif ci != 0:
-            return None
-    return snf.V.apply(y)
+    x = _back_substitute(snf, b, A.cols)
+    return None if isinstance(x, NotABoundary) else x
 
 
 def lattice_basis(generators: IntMatrix) -> IntMatrix:
@@ -394,13 +422,6 @@ def lattice_contains(basis: IntMatrix, vec, snf=None) -> bool:
     return solve_exact(basis, vec, snf) is not None
 
 
-def lattice_sum(*bases) -> IntMatrix:
-    acc = bases[0]
-    for b in bases[1:]:
-        acc = acc.hstack(b)
-    return lattice_basis(acc)
-
-
 def preimage_lattice(A: IntMatrix, L: IntMatrix) -> IntMatrix:
     """Basis of {x : A x lies in the lattice spanned by L's columns}."""
     if L.rows != A.rows:
@@ -408,6 +429,21 @@ def preimage_lattice(A: IntMatrix, L: IntMatrix) -> IntMatrix:
     K = kernel_basis(A.hstack(-1 * L))
     proj = K.take_rows(list(range(A.cols)))
     return lattice_basis(proj)
+
+
+def lattice_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
+    """Column j is the x with basis * x = column j of ``vectors``.
+
+    Every column must lie in the lattice the basis spans.
+    """
+    snf = smith_normal_form(basis)
+    cols = []
+    for j in range(vectors.cols):
+        x = solve_exact(basis, vectors.col(j), snf)
+        if x is None:
+            raise ExactAlgebraError(f"column {j} escapes the lattice")
+        cols.append(x)
+    return IntMatrix.from_columns(basis.cols, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +498,7 @@ class FinChainComplex:
     """
 
     def __init__(self, ranks: dict, boundaries: dict, check=True):
-        self.ranks = {n: r for n, r in ranks.items() if r or True}
+        self.ranks = dict(ranks)
         self.boundaries = dict(boundaries)
         if self.ranks:
             self.min_degree = min(self.ranks)
@@ -495,43 +531,15 @@ class FinChainComplex:
         return self.min_degree <= n <= self.max_degree
 
 
-class NotABoundary:
-    """Certificate that a cycle is not in the image of the boundary map.
-
-    ``index`` is the Smith pivot position at which divisibility fails (or
-    where a nonzero coordinate survives past the rank), and ``value`` /
-    ``divisor`` describe the failing divisibility test.
-    """
-
-    def __init__(self, index, value, divisor):
-        self.index = index
-        self.value = value
-        self.divisor = divisor
-
-    def __repr__(self):
-        return (f"NotABoundary(index={self.index}, value={self.value}, "
-                f"divisor={self.divisor})")
-
-
 def homology(C: FinChainComplex, n: int) -> HomologySummary:
-    """H_n = ker d_n / im d_{n+1}, via two Smith decompositions."""
+    """H_n = ker d_n / im d_{n+1}, at the middle of C_{n+1} -> C_n -> C_{n-1}."""
     if not C.in_range(n):
         raise DegreeRangeError(
             f"degree {n} outside complex range "
             f"[{C.min_degree}, {C.max_degree}]")
-    K = kernel_basis(C.boundary(n))
-    B = C.boundary(n + 1)
-    ksnf = smith_normal_form(K)
-    cols = []
-    for j in range(B.cols):
-        x = solve_exact(K, B.col(j), ksnf)
-        if x is None:
-            raise ExactAlgebraError("boundary image escapes the cycle lattice")
-        cols.append(x)
-    t = K.cols
-    rel = IntMatrix(t, len(cols), [[c[i] for c in cols] for i in range(t)]) \
-        if cols else IntMatrix.zeros(t, 0)
-    return summary_from_relations(n, t, rel)
+    groups = [Presentation.free(C.rank(d)) for d in (n + 1, n, n - 1)]
+    return presented_cohomology_at(
+        groups, [C.boundary(n + 1), C.boundary(n)], n)
 
 
 ZCOEFF = ("Z",)
@@ -562,30 +570,12 @@ def cohomology(C: FinChainComplex, coefficients, n: int) -> HomologySummary:
         betti = rank_n - smith_normal_form(d_out).rank() \
             - smith_normal_form(d_in).rank()
         return HomologySummary(n, betti, ())
+    ranks = [C.rank(d) for d in (n - 1, n, n + 1)]
     if kind == "Z":
-        K = kernel_basis(d_out)
-        ksnf = smith_normal_form(K)
-        cols = []
-        for j in range(d_in.cols):
-            x = solve_exact(K, d_in.col(j), ksnf)
-            if x is None:
-                raise ExactAlgebraError("coboundary escapes the cocycle lattice")
-            cols.append(x)
-        t = K.cols
-        rel = IntMatrix(t, len(cols), [[c[i] for c in cols] for i in range(t)]) \
-            if cols else IntMatrix.zeros(t, 0)
-        return summary_from_relations(n, t, rel)
-    # Z/m: cohomology of the dual complex with m*id relations throughout
-    m = coefficients[1]
-    groups = []
-    maps = []
-    degs = [n - 1, n, n + 1]
-    for d in degs:
-        r = C.rank(d)
-        groups.append(Presentation(r, m * IntMatrix.identity(r)))
-    maps.append(C.boundary(n).transpose())
-    maps.append(C.boundary(n + 1).transpose())
-    return presented_cohomology_at(groups, maps, n)
+        groups = [Presentation.free(r) for r in ranks]
+    else:  # Z/m: m*id relations throughout
+        groups = [Presentation(r, m * IntMatrix.identity(r)) for r in ranks]
+    return presented_cohomology_at(groups, [d_in, d_out], n)
 
 
 def solve_boundary(C: FinChainComplex, c, n: int):
@@ -598,19 +588,7 @@ def solve_boundary(C: FinChainComplex, c, n: int):
     if any(v != 0 for v in C.boundary(n).apply(c)):
         raise NotACycleError(f"input in degree {n} is not a cycle")
     B = C.boundary(n + 1)
-    snf = smith_normal_form(B)
-    b = snf.U.apply(c)
-    diag = snf.diagonal()
-    y = [0] * B.cols
-    for i in range(B.rows):
-        if i < len(diag) and diag[i] != 0:
-            if b[i] % diag[i] != 0:
-                return NotABoundary(i, b[i], diag[i])
-            if i < B.cols:
-                y[i] = b[i] // diag[i]
-        elif b[i] != 0:
-            return NotABoundary(i, b[i], 0)
-    return snf.V.apply(y)
+    return _back_substitute(smith_normal_form(B), c, B.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +626,6 @@ class Presentation:
     def is_trivial(self):
         return self.summary().is_trivial()
 
-    def relation_lattice(self) -> IntMatrix:
-        return lattice_basis(self.relations)
-
     def element_is_zero(self, vec) -> bool:
         return lattice_contains(self.relations, vec) if self.relations.cols \
             else all(v == 0 for v in vec)
@@ -676,10 +651,8 @@ def direct_sum(presentations):
                 col[offset + i] = p.relations.entry(i, j)
             rel_cols.append(col)
         offset += p.rank
-    rel = IntMatrix(total, len(rel_cols),
-                    [[c[i] for c in rel_cols] for i in range(total)]) \
-        if rel_cols else IntMatrix.zeros(total, 0)
-    return Presentation(total, rel), injections
+    return Presentation(total, IntMatrix.from_columns(total, rel_cols)), \
+        injections
 
 
 def hom_is_well_defined(A: IntMatrix, src: Presentation, dst: Presentation) -> bool:
@@ -704,20 +677,11 @@ def hom_kernel(A: IntMatrix, src: Presentation, dst: Presentation):
     Returns (kernel presentation, inclusion matrix K) where K's columns are
     lattice representatives in Z^src.rank of the kernel generators.
     """
-    dst_rel = lattice_basis(dst.relations)
+    dst_rel = lattice_basis(dst.relations) if dst.relations.cols \
+        else dst.relations
     M = preimage_lattice(A, dst_rel) if dst_rel.cols else kernel_basis(A)
     # src relations always land in M (well-definedness), so quotient by them
-    msnf = smith_normal_form(M)
-    cols = []
-    for j in range(src.relations.cols):
-        x = solve_exact(M, src.relations.col(j), msnf)
-        if x is None:
-            raise ExactAlgebraError("source relations escape the kernel lattice")
-        cols.append(x)
-    t = M.cols
-    rel = IntMatrix(t, len(cols), [[c[i] for c in cols] for i in range(t)]) \
-        if cols else IntMatrix.zeros(t, 0)
-    return Presentation(t, rel), M
+    return Presentation(M.cols, lattice_coordinates(M, src.relations)), M
 
 
 def hom_cokernel(A: IntMatrix, src: Presentation, dst: Presentation):
@@ -761,27 +725,13 @@ def presented_cohomology_at(groups, maps, degree) -> HomologySummary:
     """Cohomology at the middle spot of G0 -> G1 -> G2 (presented groups).
 
     ``groups`` is [G0, G1, G2]; ``maps`` is [d0: G0->G1, d1: G1->G2];
-    the returned summary carries ``degree``.
+    the returned summary carries ``degree``.  The answer is ker d1 on
+    coker d0: cocycles modulo coboundaries and G1's relations.
     """
     g0, g1, g2 = groups
     d0, d1 = maps
-    # cocycle lattice: {x in Z^g1.rank : d1 x in relations(g2)}
-    g2rel = lattice_basis(g2.relations)
-    Z = preimage_lattice(d1, g2rel) if g2rel.cols else kernel_basis(d1)
-    zsnf = smith_normal_form(Z)
-    # coboundaries + relations of g1, in cocycle coordinates
-    gens = d0.hstack(g1.relations)
-    cols = []
-    for j in range(gens.cols):
-        x = solve_exact(Z, gens.col(j), zsnf)
-        if x is None:
-            raise ExactAlgebraError("coboundary escapes the cocycle lattice "
-                                    "(is d o d = 0 modulo relations?)")
-        cols.append(x)
-    t = Z.cols
-    rel = IntMatrix(t, len(cols), [[c[i] for c in cols] for i in range(t)]) \
-        if cols else IntMatrix.zeros(t, 0)
-    return summary_from_relations(degree, t, rel)
+    H, _ = hom_kernel(d1, hom_cokernel(d0, g0, g1), g2)
+    return H.summary(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -813,12 +763,7 @@ def sqrt_upper(q: Fraction) -> Fraction:
     # integer sqrt of ceil(q * scale^2) / scale
     scale = 10 ** 6
     n = (q.numerator * scale * scale + q.denominator - 1) // q.denominator
-    r = _isqrt(n)
+    r = math.isqrt(n)
     if r * r < n:
         r += 1
     return Fraction(r, scale)
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)

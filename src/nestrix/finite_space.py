@@ -335,21 +335,23 @@ def _parse_point(tok: str):
 
 
 def parse_space(text: str) -> FiniteSpace:
-    lines = [ln.strip() for ln in text.splitlines()
+    # errors name a line by its number in the original text
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise FiniteSpaceError("empty space file")
-    points = tuple(_parse_point(t) for t in lines[0].replace(",", " ").split())
+    points = tuple(_parse_point(t)
+                   for t in lines[0][1].replace(",", " ").split())
     basis = []
-    for idx, ln in enumerate(lines[1:], start=2):
+    for no, ln in lines[1:]:
         try:
-            basis.append({_parse_point(t) for t in ln.split(",") if t.strip()})
+            b = {_parse_point(t) for t in ln.split(",") if t.strip()}
         except Exception as exc:
-            raise FiniteSpaceError(f"line {idx}: cannot parse open ({exc})")
-    for idx, b in enumerate(basis, start=2):
+            raise FiniteSpaceError(f"line {no}: cannot parse open ({exc})")
         if not b <= set(points):
             raise FiniteSpaceError(
-                f"line {idx}: open {sorted(map(str, b))} escapes the point set")
+                f"line {no}: open {sorted(map(str, b))} escapes the point set")
+        basis.append(b)
     return FiniteSpace.from_basis(points, basis)
 
 

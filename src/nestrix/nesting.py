@@ -31,11 +31,8 @@ from .regions import (
     Ambient,
     Empty,
     FiniteSpaceOpen,
-    Intersection,
     OpenBall,
-    Polytope,
     Region,
-    RegionError,
     Tri,
     contains_point,
     intersection,
@@ -48,7 +45,6 @@ from .regions import (
 from .simplicial import (
     OrderedSimplicialComplex,
     Realization,
-    iterate_subdivide,
     mesh_sq,
     vkey,
 )
@@ -497,11 +493,6 @@ def pl_sample_sequences(realization_points, seed, budget, max_len=4,
     return out
 
 
-def barycenter_chain_points(K: OrderedSimplicialComplex, R: Realization):
-    """Barycenters of all faces: the points the membership predicate uses."""
-    return [R.barycenter(K.order(key)) for key in K.all_faces()]
-
-
 # ---------------------------------------------------------------------------
 # small-chain membership
 
@@ -655,33 +646,3 @@ def subdivision_retraction(K: OrderedSimplicialComplex, R: Realization,
         f"no subdivision within budget {budget} lands in the cover; "
         f"current squared mesh {frac_str(mesh_sq(cur_K, cur_R))}")
 
-
-# ---------------------------------------------------------------------------
-# descriptor files
-
-def nesting_to_descriptor(eta: NestingOracle):
-    def walk(x):
-        if isinstance(x, (list, tuple)):
-            return [walk(v) for v in x]
-        if isinstance(x, Fraction):
-            return frac_str(x)
-        return x
-    return {"provenance": eta.provenance, "descriptor": walk(eta.descriptor)}
-
-
-def nesting_from_spec(obj, realm) -> NestingOracle:
-    """Build an oracle from a JSON-style descriptor (CLI scenarios)."""
-    kind = obj.get("kind")
-    if kind == "uniform-ball":
-        return cover_generated(realm, UniformBallRule(frac(obj["sq_radius"])))
-    if kind == "ball-net":
-        balls = tuple(OpenBall(tuple(frac(c) for c in b["center"]),
-                               frac(b["sq_radius"])) for b in obj["balls"])
-        return cover_generated(realm, BallNetRule(balls))
-    if kind == "minimal-open":
-        if not isinstance(realm, FiniteRealm):
-            raise NestingError("minimal-open rule needs a finite realm")
-        return minimal_open_nesting(realm.space)
-    if kind == "broken-demo":
-        return broken_demo_nesting(realm, UniformBallRule(frac(obj["sq_radius"])))
-    raise NestingError(f"unknown nesting descriptor kind {kind!r}")

@@ -123,15 +123,6 @@ class AffineMap:
                      for i in range(dim_from - count))
         return cls(rows, tuple(Fraction(0) for _ in range(dim_from - count)))
 
-    @classmethod
-    def coordinate_inclusion(cls, indices, dim_to):
-        """Q^len(indices) -> Q^dim_to hitting the given coordinates."""
-        rows = tuple(tuple(Fraction(1 if (i in indices and
-                                          indices.index(i) == j) else 0)
-                           for j in range(len(indices)))
-                     for i in range(dim_to))
-        return cls(rows, tuple(Fraction(0) for _ in range(dim_to)))
-
 
 # ---------------------------------------------------------------------------
 # regions

@@ -14,6 +14,7 @@ cohomology.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .exact import (
@@ -24,10 +25,13 @@ from .exact import (
     cokernel_witness,
     direct_sum,
     hom_cokernel,
+    hom_is_injective,
+    hom_is_surjective,
     hom_is_well_defined,
     hom_kernel,
     hom_preimage,
     homs_equal,
+    lattice_coordinates,
     presented_cohomology_at,
     smith_normal_form,
     solve_exact,
@@ -106,8 +110,35 @@ class Presheaf:
         """Germ map F(U) -> F_x = F(U_x), for x in U."""
         return self.restriction(U, self.space.minimal_open(x))
 
-    def restrict_element(self, U, V, vec):
-        return self.restriction(U, V).apply(vec)
+
+def _stacked_restrictions(F: Presheaf, U, opens) -> IntMatrix:
+    """F(U) -> the direct sum of F(V) over ``opens``, one block per V."""
+    rows = [row for V in opens for row in F.restriction(U, V).rows_list()]
+    return IntMatrix(len(rows), F.group(U).rank, rows)
+
+
+def _germs(F: Presheaf, U) -> IntMatrix:
+    """F(U) -> the product of the stalks at U's points, in vkey order."""
+    return _stacked_restrictions(
+        F, U, [F.space.minimal_open(x) for x in sorted(U, key=vkey)])
+
+
+def _offsets(sizes):
+    """Start of each block when blocks of the given sizes sit end to end."""
+    return list(itertools.accumulate(sizes, initial=0))
+
+
+def _block_matrix(row_sizes, col_sizes, blocks) -> IntMatrix:
+    """Block matrix on the given block sizes; each (r, c, sign, M) in
+    ``blocks`` adds sign * M into block row r, block column c."""
+    row_off, col_off = _offsets(row_sizes), _offsets(col_sizes)
+    mat = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for r, c, sign, block in blocks:
+        for a in range(block.rows):
+            row = mat[row_off[r] + a]
+            for b in range(block.cols):
+                row[col_off[c] + b] += sign * block.entry(a, b)
+    return IntMatrix(row_off[-1], col_off[-1], mat)
 
 
 def check_presheaf(F: Presheaf):
@@ -159,8 +190,7 @@ def constant_sheaf(space, coeff) -> Presheaf:
         return space.components(U) if U else []
 
     def group_fn(U):
-        parts = [base] * len(comps(U))
-        return direct_sum(parts)[0] if parts else Presentation.zero()
+        return direct_sum([base] * len(comps(U)))[0]
 
     def res_fn(U, V):
         cu, cv = comps(U), comps(V)
@@ -214,8 +244,7 @@ def image_cochain_presheaf(space, degree, coeff) -> Presheaf:
         return space.connected_subsets(U)
 
     def group_fn(U):
-        parts = [base] * len(domains(U))
-        return direct_sum(parts)[0] if parts else Presentation.zero()
+        return direct_sum([base] * len(domains(U)))[0]
 
     def res_fn(U, V):
         du, dv = domains(U), domains(V)
@@ -229,14 +258,6 @@ def image_cochain_presheaf(space, degree, coeff) -> Presheaf:
     F = Presheaf(space, group_fn, res_fn, name=f"image-cochain-{degree}")
     F.domains = domains
     return F
-
-
-def table_presheaf(space, groups, restrictions, name="table") -> Presheaf:
-    groups = {frozenset(k): v for k, v in groups.items()}
-    restrictions = {(frozenset(a), frozenset(b)): m
-                    for (a, b), m in restrictions.items()}
-    return Presheaf(space, lambda U: groups[U],
-                    lambda U, V: restrictions[(U, V)], name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +278,8 @@ class SheafificationResult:
         """F(U) -> F^+(U) in the computed coordinates."""
         U = frozenset(U)
         if U not in self._units:
-            F = self.source
-            sp = F.space
-            pts = sorted(U, key=vkey)
-            basis = self.embedding(U)
-            bsnf = smith_normal_form(basis)
-            cols = []
-            for j in range(F.group(U).rank):
-                vec = []
-                for x in pts:
-                    col = F.stalk_restriction(x, U).col(j)
-                    vec.extend(col)
-                y = solve_exact(basis, tuple(vec), bsnf)
-                if y is None:
-                    raise SheafError("unit image escapes the family lattice")
-                cols.append(y)
-            t = basis.cols
-            self._units[U] = IntMatrix(
-                t, len(cols), [[c[i] for c in cols] for i in range(t)]) \
-                if cols else IntMatrix.zeros(t, 0)
+            self._units[U] = lattice_coordinates(self.embedding(U),
+                                                 _germs(self.source, U))
         return self._units[U]
 
     def family_coordinates(self, U, stalk_vectors):
@@ -289,7 +293,6 @@ class SheafificationResult:
         return solve_exact(basis, tuple(vec))
 
     def unit_is_iso(self, U) -> bool:
-        from .exact import hom_is_injective, hom_is_surjective
         m = self.unit_matrix(U)
         src = self.source.group(U)
         dst = self.plus.group(U)
@@ -304,12 +307,7 @@ def sheafify(F: Presheaf) -> SheafificationResult:
     def family_kernel(U):
         pts = sorted(U, key=vkey)
         stalks = [F.stalk(x) for x in pts]
-        big, _ = direct_sum(stalks)
-        offsets = {}
-        off = 0
-        for x, g in zip(pts, stalks):
-            offsets[x] = off
-            off += g.rank
+        col = {x: i for i, x in enumerate(pts)}
         # constraints: x in U_y (x != y)  =>  res_{U_y -> U_x}(s_y) = s_x
         blocks = []
         targets = []
@@ -318,26 +316,16 @@ def sheafify(F: Presheaf) -> SheafificationResult:
             for x in pts:
                 if x == y or x not in Uy:
                     continue
-                Ux = sp.minimal_open(x)
-                res = F.restriction(Uy, Ux)
-                gx = F.group(Ux)
-                rows = gx.rank
-                block = [[0] * big.rank for _ in range(rows)]
-                for i in range(rows):
-                    for j in range(res.cols):
-                        block[i][offsets[y] + j] = res.entry(i, j)
-                    block[i][offsets[x] + i] += -1
-                blocks.extend(block)
+                gx = F.stalk(x)
+                r = len(targets)
+                blocks.append((r, col[y], 1,
+                               F.restriction(Uy, sp.minimal_open(x))))
+                blocks.append((r, col[x], -1, IntMatrix.identity(gx.rank)))
                 targets.append(gx)
-        if blocks:
-            phi = IntMatrix(len(blocks), big.rank,
-                            [e for row in blocks for e in row])
-            target = direct_sum(targets)[0]
-        else:
-            phi = IntMatrix.zeros(0, big.rank)
-            target = Presentation.zero()
-        pres, basis = hom_kernel(phi, big, target)
-        return pres, basis
+        phi = _block_matrix([g.rank for g in targets],
+                            [g.rank for g in stalks], blocks)
+        return hom_kernel(phi, direct_sum(stalks)[0],
+                          direct_sum(targets)[0])
 
     def group_fn(U):
         if not U:
@@ -348,32 +336,13 @@ def sheafify(F: Presheaf) -> SheafificationResult:
         return pres
 
     def res_fn(U, V):
-        gU = result.plus.group(U)
-        gV = result.plus.group(V)
-        bU = result._embeddings[frozenset(U)]
-        bV = result._embeddings[frozenset(V)]
-        ptsU = sorted(U, key=vkey)
-        ptsV = sorted(V, key=vkey)
         # project the stalk-sum coordinates of U onto those of V
-        keep_rows = []
-        off = 0
-        offsets = {}
-        for x in ptsU:
-            offsets[x] = off
-            off += F.stalk(x).rank
-        for x in ptsV:
-            keep_rows.extend(range(offsets[x], offsets[x] + F.stalk(x).rank))
-        proj = bU.take_rows(keep_rows)
-        vsnf = smith_normal_form(bV)
-        cols = []
-        for j in range(gU.rank):
-            y = solve_exact(bV, proj.col(j), vsnf)
-            if y is None:
-                raise SheafError("restricted family escapes the lattice")
-            cols.append(y)
-        t = bV.cols
-        return IntMatrix(t, len(cols), [[c[i] for c in cols] for i in range(t)]) \
-            if cols else IntMatrix.zeros(t, 0)
+        ptsU = sorted(U, key=vkey)
+        start = dict(zip(ptsU, _offsets([F.stalk(x).rank for x in ptsU])))
+        keep_rows = [start[x] + i for x in sorted(V, key=vkey)
+                     for i in range(F.stalk(x).rank)]
+        return lattice_coordinates(result.embedding(V),
+                                   result.embedding(U).take_rows(keep_rows))
 
     result.plus = Presheaf(sp, group_fn, res_fn, name=f"{F.name}+")
     return result
@@ -438,40 +407,37 @@ def _antichain_covers(space, U, cap):
 
 
 def _matching_families(F: Presheaf, cover):
-    """Kernel presentation of pairwise-difference, plus the embedding basis."""
+    """Embedding basis of the matching families over ``cover`` (kernel of
+    the pairwise differences) and the direct sum they live in."""
     parts = [F.group(V) for V in cover]
-    big, _ = direct_sum(parts)
-    offsets = []
-    off = 0
-    for g in parts:
-        offsets.append(off)
-        off += g.rank
     blocks = []
     targets = []
-    for i in range(len(cover)):
-        for j in range(i + 1, len(cover)):
-            W = cover[i] & cover[j]
-            gW = F.group(W)
-            if gW.rank == 0:
-                continue
-            ri = F.restriction(cover[i], W)
-            rj = F.restriction(cover[j], W)
-            block = [[0] * big.rank for _ in range(gW.rank)]
-            for r in range(gW.rank):
-                for c in range(ri.cols):
-                    block[r][offsets[i] + c] += ri.entry(r, c)
-                for c in range(rj.cols):
-                    block[r][offsets[j] + c] -= rj.entry(r, c)
-            blocks.extend(block)
-            targets.append(gW)
-    if blocks:
-        phi = IntMatrix(len(blocks), big.rank, [e for row in blocks for e in row])
-        target = direct_sum(targets)[0]
-    else:
-        phi = IntMatrix.zeros(0, big.rank)
-        target = Presentation.zero()
-    pres, basis = hom_kernel(phi, big, target)
-    return pres, basis, big, offsets
+    for i, j in itertools.combinations(range(len(cover)), 2):
+        W = cover[i] & cover[j]
+        gW = F.group(W)
+        if gW.rank == 0:
+            continue
+        r = len(targets)
+        blocks.append((r, i, 1, F.restriction(cover[i], W)))
+        blocks.append((r, j, -1, F.restriction(cover[j], W)))
+        targets.append(gW)
+    big = direct_sum(parts)[0]
+    phi = _block_matrix([g.rank for g in targets], [g.rank for g in parts],
+                        blocks)
+    _, basis = hom_kernel(phi, big, direct_sum(targets)[0])
+    return basis, big
+
+
+def _unglued_family(F: Presheaf, U, cover):
+    """A matching family over ``cover`` that no section over U restricts
+    to, or None when every one glues."""
+    basis, big = _matching_families(F, cover)
+    aug = _stacked_restrictions(F, U, cover).hstack(big.relations)
+    asnf = smith_normal_form(aug)
+    for j in range(basis.cols):
+        if solve_exact(aug, basis.col(j), asnf) is None:
+            return basis.col(j)
+    return None
 
 
 def satisfies_gluability(F: Presheaf, cover_cap=24):
@@ -485,21 +451,9 @@ def satisfies_gluability(F: Presheaf, cover_cap=24):
         if not U:
             continue
         for cover in _antichain_covers(sp, U, cover_cap):
-            pres, basis, big, offsets = _matching_families(F, cover)
-            gU = F.group(U)
-            # stacked restriction F(U) -> sum F(V_i)
-            rows = []
-            for V in cover:
-                rows.extend(F.restriction(U, V).rows_list())
-            stacked = IntMatrix(big.rank, gU.rank,
-                                [e for row in rows for e in row]) \
-                if rows else IntMatrix.zeros(0, gU.rank)
-            aug = stacked.hstack(big.relations)
-            asnf = smith_normal_form(aug)
-            for j in range(basis.cols):
-                fam = basis.col(j)
-                if solve_exact(aug, fam, asnf) is None:
-                    return False, (U, cover, fam)
+            fam = _unglued_family(F, U, cover)
+            if fam is not None:
+                return False, (U, cover, fam)
     return True, None
 
 
@@ -515,24 +469,13 @@ def is_sheaf(F: Presheaf) -> bool:
             if F.group(U).rank != 0:
                 return False
             continue
-        pts = sorted(U, key=vkey)
-        gU = F.group(U)
-        stalks = [F.group(sp.minimal_open(x)) for x in pts]
-        big, _ = direct_sum(stalks)
-        rows = []
-        for x in pts:
-            rows.extend(F.stalk_restriction(x, U).rows_list())
-        stacked = IntMatrix(big.rank, gU.rank, [e for row in rows for e in row])
-        from .exact import hom_is_injective
-        if not hom_is_injective(stacked, gU, big):
+        cover = [sp.minimal_open(x) for x in sorted(U, key=vkey)]
+        big = direct_sum([F.group(V) for V in cover])[0]
+        if not hom_is_injective(_stacked_restrictions(F, U, cover),
+                                F.group(U), big):
             return False
-        cover = [sp.minimal_open(x) for x in pts]
-        pres, basis, bigc, offsets = _matching_families(F, cover)
-        aug = stacked.hstack(bigc.relations)
-        asnf = smith_normal_form(aug)
-        for j in range(basis.cols):
-            if solve_exact(aug, basis.col(j), asnf) is None:
-                return False
+        if _unglued_family(F, U, cover) is not None:
+            return False
     return True
 
 
@@ -543,45 +486,32 @@ def _chains_of_length(space, length):
     return [c for c in space.poset().chains(max_len=length) if len(c) == length]
 
 
-def _nerve_group(F, chains):
-    parts = [F.stalk(c[0]) for c in chains]
-    return (direct_sum(parts)[0] if parts else Presentation.zero(), parts)
+def _cochain_cohomology(groups, diffs) -> list:
+    """H^0 .. H^{len(diffs) - 1} of G_0 -> G_1 -> ... with d_n: G_n -> G_{n+1}."""
+    groups = [Presentation.zero()] + groups
+    diffs = [IntMatrix.zeros(groups[1].rank, 0)] + diffs
+    return [presented_cohomology_at(groups[n:n + 3], diffs[n:n + 2], n)
+            for n in range(len(diffs) - 1)]
 
 
 def _nerve_differential(F, chains_n, chains_n1):
     """Alternating-sum differential on specialization-chain cochains."""
     sp = F.space
     index = {c: i for i, c in enumerate(chains_n)}
-    col_off = []
-    off = 0
-    for c in chains_n:
-        col_off.append(off)
-        off += F.stalk(c[0]).rank
-    total_cols = off
-    row_off = []
-    off = 0
-    for e in chains_n1:
-        row_off.append(off)
-        off += F.stalk(e[0]).rank
-    total_rows = off
-    mat = [[0] * total_cols for _ in range(total_rows)]
+    blocks = []
     for r, e in enumerate(chains_n1):
-        ge = F.stalk(e[0])
         for i in range(len(e)):
-            face = e[:i] + e[i + 1:]
-            ci = index.get(face)
+            ci = index.get(e[:i] + e[i + 1:])
             if ci is None:
                 continue
-            sign = (-1) ** i
             if i == 0:
                 block = F.restriction(sp.minimal_open(e[1]),
                                       sp.minimal_open(e[0]))
             else:
-                block = IntMatrix.identity(ge.rank)
-            for a in range(block.rows):
-                for b in range(block.cols):
-                    mat[row_off[r] + a][col_off[ci] + b] += sign * block.entry(a, b)
-    return IntMatrix(total_rows, total_cols, [e for row in mat for e in row])
+                block = IntMatrix.identity(F.stalk(e[0]).rank)
+            blocks.append((r, ci, (-1) ** i, block))
+    return _block_matrix([F.stalk(e[0]).rank for e in chains_n1],
+                         [F.stalk(c[0]).rank for c in chains_n], blocks)
 
 
 def sheaf_cohomology_nerve(F: Presheaf, max_degree) -> list:
@@ -592,19 +522,11 @@ def sheaf_cohomology_nerve(F: Presheaf, max_degree) -> list:
     anchors the higher degrees.
     """
     sp = F.space
-    chains = {n: _chains_of_length(sp, n + 1) for n in range(max_degree + 2)}
-    groups = {n: _nerve_group(F, chains[n])[0] for n in range(max_degree + 2)}
-    groups[-1] = Presentation.zero()
-    diffs = {}
-    for n in range(max_degree + 1):
-        diffs[n] = _nerve_differential(F, chains[n], chains[n + 1])
-    diffs[-1] = IntMatrix.zeros(groups[0].rank, 0)
-    out = []
-    for n in range(max_degree + 1):
-        out.append(presented_cohomology_at(
-            [groups[n - 1], groups[n], groups[n + 1]],
-            [diffs[n - 1], diffs[n]], n))
-    return out
+    chains = [_chains_of_length(sp, n + 1) for n in range(max_degree + 2)]
+    groups = [direct_sum([F.stalk(c[0]) for c in ch])[0] for ch in chains]
+    diffs = [_nerve_differential(F, chains[n], chains[n + 1])
+             for n in range(max_degree + 1)]
+    return _cochain_cohomology(groups, diffs)
 
 
 def godement_envelope(F: Presheaf):
@@ -612,36 +534,19 @@ def godement_envelope(F: Presheaf):
     sp = F.space
 
     def group_fn(U):
-        parts = [F.stalk(x) for x in sorted(U, key=vkey)]
-        return direct_sum(parts)[0] if parts else Presentation.zero()
+        return direct_sum([F.stalk(x) for x in sorted(U, key=vkey)])[0]
 
     def res_fn(U, V):
         ptsU = sorted(U, key=vkey)
+        col = {x: i for i, x in enumerate(ptsU)}
         ptsV = sorted(V, key=vkey)
-        offsets = {}
-        off = 0
-        for x in ptsU:
-            offsets[x] = off
-            off += F.stalk(x).rank
-        rows = []
-        for x in ptsV:
-            r = F.stalk(x).rank
-            for i in range(r):
-                row = [0] * off
-                row[offsets[x] + i] = 1
-                rows.append(row)
-        return IntMatrix(len(rows), off, [e for row in rows for e in row])
+        return _block_matrix(
+            [F.stalk(x).rank for x in ptsV], [F.stalk(x).rank for x in ptsU],
+            [(i, col[x], 1, IntMatrix.identity(F.stalk(x).rank))
+             for i, x in enumerate(ptsV)])
 
     G = Presheaf(sp, group_fn, res_fn, name=f"G({F.name})")
-
-    def unit_matrix(U):
-        rows = []
-        for x in sorted(U, key=vkey):
-            rows.extend(F.stalk_restriction(x, U).rows_list())
-        return IntMatrix(G.group(U).rank, F.group(U).rank,
-                         [e for row in rows for e in row])
-
-    return G, unit_matrix
+    return G, lambda U: _germs(F, U)
 
 
 def _coker_presheaf(F: Presheaf, G: Presheaf, unit_matrix):
@@ -669,35 +574,20 @@ def sheaf_cohomology_godement(F: Presheaf, max_degree,
     cur = F
     gs_groups = []
     gs_diffs = []
-    envelopes = []
     for k in range(max_degree + 2):
         G, unit = godement_envelope(cur)
-        envelopes.append((cur, G, unit))
         gs_groups.append(G.group(X))
-        Q = _coker_presheaf(cur, G, unit)
-        QS = sheafify(Q)
+        QS = sheafify(_coker_presheaf(cur, G, unit))
         if k < max_degree + 1:
-            # d^k: G_k(X) ->> Q_k(X) -> QS_k(X) -> G_{k+1}(QS_k)(X)
-            unit_q = QS.unit_matrix(X)  # Q(X) -> QS(X); Q coords = G coords
-            nextG, next_unit = godement_envelope(QS.plus)
-            d = next_unit(X) * unit_q
-            gs_diffs.append(d)
+            # d^k: G_k(X) ->> Q_k(X) -> QS_k(X) -> G_{k+1}(QS_k)(X); the
+            # unit Q(X) -> QS(X) reads Q in G's coordinates
+            gs_diffs.append(_germs(QS.plus, X) * QS.unit_matrix(X))
         cur = QS.plus
-    out = []
-    zero = Presentation.zero()
-    for n in range(max_degree + 1):
-        g_prev = gs_groups[n - 1] if n > 0 else zero
-        d_prev = gs_diffs[n - 1] if n > 0 else IntMatrix.zeros(
-            gs_groups[0].rank, 0)
-        out.append(presented_cohomology_at(
-            [g_prev, gs_groups[n], gs_groups[n + 1]],
-            [d_prev, gs_diffs[n]], n))
-    return out
+    return _cochain_cohomology(gs_groups, gs_diffs)
 
 
 def cech_cohomology(F: Presheaf, cover, max_degree) -> list:
     """Alternating Cech complex of the given open cover."""
-    import itertools
     sp = F.space
     cover = [frozenset(c) for c in cover]
     for c in cover:
@@ -706,7 +596,6 @@ def cech_cohomology(F: Presheaf, cover, max_degree) -> list:
     union = frozenset().union(*cover) if cover else frozenset()
     if union != frozenset(sp.points):
         raise SheafError("cover does not cover the space")
-    n_members = len(cover)
 
     def inter(idxs):
         out = cover[idxs[0]]
@@ -714,52 +603,23 @@ def cech_cohomology(F: Presheaf, cover, max_degree) -> list:
             out = out & cover[i]
         return out
 
-    tuples = {p: list(itertools.combinations(range(n_members), p + 1))
-              for p in range(max_degree + 2)}
-    groups = {}
-    for p, tts in tuples.items():
-        parts = [F.group(inter(t)) for t in tts]
-        groups[p] = direct_sum(parts)[0] if parts else Presentation.zero()
-    groups[-1] = Presentation.zero()
+    tuples = [list(itertools.combinations(range(len(cover)), p + 1))
+              for p in range(max_degree + 2)]
+    parts = [[F.group(inter(t)) for t in tts] for tts in tuples]
 
     def diff(p):
-        src = tuples[p]
-        dst = tuples[p + 1]
-        src_index = {t: i for i, t in enumerate(src)}
-        col_off = []
-        off = 0
-        for t in src:
-            col_off.append(off)
-            off += F.group(inter(t)).rank
-        ncols = off
-        row_off = []
-        off = 0
-        for t in dst:
-            row_off.append(off)
-            off += F.group(inter(t)).rank
-        nrows = off
-        mat = [[0] * ncols for _ in range(nrows)]
-        for r, t in enumerate(dst):
-            W = inter(t)
+        src_index = {t: i for i, t in enumerate(tuples[p])}
+        blocks = []
+        for r, t in enumerate(tuples[p + 1]):
             for i in range(len(t)):
                 face = t[:i] + t[i + 1:]
-                ci = src_index[face]
-                block = F.restriction(inter(face), W)
-                sign = (-1) ** i
-                for a in range(block.rows):
-                    for b in range(block.cols):
-                        mat[row_off[r] + a][col_off[ci] + b] += \
-                            sign * block.entry(a, b)
-        return IntMatrix(nrows, ncols, [e for row in mat for e in row])
+                blocks.append((r, src_index[face], (-1) ** i,
+                               F.restriction(inter(face), inter(t))))
+        return _block_matrix([g.rank for g in parts[p + 1]],
+                             [g.rank for g in parts[p]], blocks)
 
-    diffs = {p: diff(p) for p in range(max_degree + 1)}
-    diffs[-1] = IntMatrix.zeros(groups[0].rank, 0)
-    out = []
-    for n in range(max_degree + 1):
-        out.append(presented_cohomology_at(
-            [groups[n - 1], groups[n], groups[n + 1]],
-            [diffs[n - 1], diffs[n]], n))
-    return out
+    return _cochain_cohomology([direct_sum(ps)[0] for ps in parts],
+                               [diff(p) for p in range(max_degree + 1)])
 
 
 def minimal_open_cover(space: FiniteSpace):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    ExactAlgebraError,
     FinChainComplex,
     IntMatrix,
     NotABoundary,
@@ -98,12 +97,6 @@ def chain_add(a, b, scale=1):
     return out
 
 
-def chain_scale(a, s):
-    if s == 0:
-        return {}
-    return {k: s * c for k, c in a.items()}
-
-
 def chain_eq(a, b):
     return {k: c for k, c in a.items() if c} == {k: c for k, c in b.items() if c}
 
@@ -167,9 +160,6 @@ class OrderedSimplicialComplex:
 
     def order(self, key):
         return self.faces[frozenset(key)]
-
-    def has_face(self, key):
-        return frozenset(key) in self.faces
 
     def dim(self):
         return max((len(k) for k in self.faces), default=0) - 1
@@ -278,7 +268,7 @@ class OrderedSimplicialComplex:
 
     def relabel(self, fn):
         faces = {}
-        for k, order in self.faces.items():
+        for order in self.faces.values():
             new = tuple(fn(v) for v in order)
             faces[frozenset(new)] = new
         if len(faces) != len(self.faces):
@@ -374,13 +364,6 @@ class Realization:
     def sqdist(self, p, q):
         return sum((a - b) ** 2 for a, b in zip(p, q))
 
-    def check_faces_independent(self, complex_):
-        for key in complex_.faces:
-            pts = [self.point(v) for v in key]
-            if not affinely_independent(pts):
-                raise DegenerateSimplexError(
-                    f"face {set(key)!r} realizes degenerately")
-
     def extended_to(self, complex_):
         coords = dict(self.coords)
         for v in {w for k in complex_.faces for w in k}:
@@ -463,17 +446,6 @@ def standard_chart(order):
         pt = [Fraction(0)] * k
         if i > 0:
             pt[i - 1] = Fraction(1)
-        chart[v] = tuple(pt)
-    return chart
-
-
-def symmetric_chart(order):
-    """Chart in Q^{k+1} with the vertices at the standard basis vectors."""
-    k1 = len(order)
-    chart = {}
-    for i, v in enumerate(order):
-        pt = [Fraction(0)] * k1
-        pt[i] = Fraction(1)
         chart[v] = tuple(pt)
     return chart
 
@@ -573,7 +545,6 @@ def iterate_subdivide(K, n):
     chain_map = results[0].chain_map
     for res in results[1:]:
         chain_map = compose_chain_maps(res.chain_map, chain_map)
-    carrier = {k: k for k in K.faces}
     total_carrier = results[0].carrier
     for res in results[1:]:
         total_carrier = {k: total_carrier[res.carrier[k]]

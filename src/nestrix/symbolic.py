@@ -82,14 +82,6 @@ class AffineSimplex(SymbolicSimplex):
     def face(self, i):
         return AffineSimplex(self.points[:i] + self.points[i + 1:])
 
-    def is_constant(self):
-        return all(p == self.points[0] for p in self.points)
-
-
-def constant_simplex(point, dim=1):
-    return AffineSimplex(tuple(tuple(frac(c) for c in point)
-                               for _ in range(dim + 1)))
-
 
 class DeformedFace(SymbolicSimplex):
     """The deformation of one complex face under a compatible covering.
@@ -289,9 +281,6 @@ class FormalChain:
         return FormalChain({pushforward(map_, s): c
                             for s, c in self.terms.items()} or {},
                            dim=self.dim)
-
-    def content_key(self):
-        return tuple(sorted((repr(k.key()), c) for k, c in self.terms.items()))
 
 
 def chains_equal(a: FormalChain, b: FormalChain) -> bool:

@@ -33,6 +33,7 @@ from nestrix.exact import (
     ZCOEFF,
     QCOEFF,
 )
+from nestrix.simplicial import random_complex
 
 
 def rational_rank(mat: IntMatrix) -> int:
@@ -96,6 +97,11 @@ def full_triangle():
     d1 = IntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
     d2 = IntMatrix.from_rows([[1], [-1], [1]])
     return FinChainComplex({0: 3, 1: 3, 2: 1}, {1: d1, 2: d2})
+
+
+def two_torsion():
+    # Z --2--> Z in degrees 1 -> 0 gives H_0 = Z/2
+    return FinChainComplex({0: 1, 1: 1}, {1: IntMatrix(1, 1, [2])})
 
 
 class TestSmith:
@@ -188,9 +194,7 @@ class TestHomology:
             homology(C, 5)
 
     def test_torsion_rp2_style(self):
-        # Z --2--> Z in degrees 1 -> 0 gives H_0 = Z/2
-        C = FinChainComplex({0: 1, 1: 1}, {1: IntMatrix(1, 1, [2])})
-        h = homology(C, 0)
+        h = homology(two_torsion(), 0)
         assert h.free_rank == 0 and h.torsion == (2,)
 
     def test_betti_matches_rational_oracle_random(self):
@@ -236,17 +240,32 @@ class TestCohomology:
         assert h0.free_rank == 1
 
     def test_universal_coefficients_consistency(self):
-        # free complexes: H^n(Z) free part = H_n free part,
-        # torsion part = torsion of H_{n-1}
-        for C in (hollow_triangle(), full_triangle()):
+        # free complexes: H^n(Z) free part = H_n free part, torsion part =
+        # torsion of H_{n-1}; H^n(Z/p) is (Z/p)^k with
+        # k = b_n + t_p(H_n) + t_p(H_{n-1}), where t_p counts the torsion
+        # coefficients divisible by p
+        complexes = [
+            hollow_triangle(), full_triangle(), two_torsion(),
+            # H_0 = Z/2 + Z/12
+            FinChainComplex({0: 2, 1: 2}, {1: IntMatrix.diagonal([4, 6])}),
+            # H_1 = Z/2 sits below degree 2
+            FinChainComplex({0: 1, 1: 1, 2: 1},
+                            {1: IntMatrix(1, 1, [0]), 2: IntMatrix(1, 1, [2])}),
+        ] + [random_complex(seed, max_facets=8, max_dim=2).chain_complex()
+             for seed in range(12)]
+        for C in complexes:
             for n in range(C.min_degree, C.max_degree + 1):
                 hn = homology(C, n)
+                prev = homology(C, n - 1).torsion \
+                    if n - 1 >= C.min_degree else ()
                 co = cohomology(C, ZCOEFF, n)
                 assert co.free_rank == hn.free_rank
-                if n - 1 >= C.min_degree:
-                    assert co.torsion == homology(C, n - 1).torsion
-                else:
-                    assert co.torsion == ()
+                assert co.torsion == prev
+                for p in (2, 3):
+                    t_p = sum(1 for t in hn.torsion + prev if t % p == 0)
+                    cop = cohomology(C, zmod(p), n)
+                    assert cop.free_rank == 0
+                    assert cop.torsion == (p,) * (hn.free_rank + t_p)
 
 
 class TestSolveBoundary:

@@ -222,3 +222,11 @@ class TestFileFormat:
         with pytest.raises(FiniteSpaceError) as exc:
             parse_space("1 2\n1,7\n")
         assert "line 2" in str(exc.value)
+
+    def test_parse_error_counts_comments_and_blank_lines(self):
+        with pytest.raises(FiniteSpaceError) as exc:
+            parse_space("# header\n\n1 2 3\n1\n1,2\n1,9\n")
+        assert "line 6" in str(exc.value)
+        with pytest.raises(FiniteSpaceError) as exc:
+            parse_space("1 2\n# comment\n\n1,(\n")
+        assert "line 4" in str(exc.value)
