@@ -22,6 +22,7 @@ boundary constructions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .exact import frac, frac_str
 from .nesting import (
     NestingOracle,
     face_in_c_eta,
+    in_c_eta,
     pullback,
 )
 from .regions import (
@@ -47,10 +49,13 @@ from .simplicial import (
     Realization,
     SimplicialChainMap,
     chain_add,
+    is_bvertex,
+    is_level_vertex,
     iterate_subdivide,
     level_subcomplex,
     mesh_sq,
     prism_complex,
+    resolve_vertex,
     sorted_vs,
     t_n_complex,
     vkey,
@@ -62,6 +67,9 @@ from .symbolic import (
     cone_simplex,
     deformed,
 )
+
+# largest simplex dimension the cylinder and projection constructions take
+K_CAP = 3
 
 
 class CoveringError(Exception):
@@ -105,7 +113,6 @@ class CompatibleCovering:
             order = self.complex.order(key)
             ok = True
             for size in range(1, len(order) + 1):
-                import itertools
                 for sub in itertools.combinations(order, size):
                     sk = frozenset(sub)
                     if sk not in self.assignments:
@@ -344,11 +351,11 @@ def _coordinate_bijection(cx_a, real_a, cx_b, real_b):
     return out
 
 
-def mapping_cylinder(k, eta: NestingOracle, n, k_cap=3) -> MappingCylinder:
+def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
     """Glue the simplex to a prism over its small-chain subcomplex, then
     subdivide n times and stack the n-step prism on [1, 2]."""
-    if k > k_cap:
-        raise CoveringError(f"simplex dimension {k} exceeds cap {k_cap}")
+    if k > K_CAP:
+        raise CoveringError(f"simplex dimension {k} exceeds cap {K_CAP}")
     base, base_real = delta_complex(k)
     accepted = _accepted_subcomplex(base, base_real, eta)
 
@@ -360,7 +367,6 @@ def mapping_cylinder(k, eta: NestingOracle, n, k_cap=3) -> MappingCylinder:
         PK, P = prism_complex(accepted, 0, 1)
         L = L.union(PK)
         prism_values = P.values
-    from .simplicial import resolve_vertex
     base_coords = dict(base_real.coords)
     L_real = Realization({v: resolve_vertex(v, base_coords)
                           for key in L.faces for v in key})
@@ -422,8 +428,6 @@ def mapping_cylinder(k, eta: NestingOracle, n, k_cap=3) -> MappingCylinder:
 
 def _base_face_of(cyl: MappingCylinder, key):
     """Smallest face of the base simplex carrying a cylinder face."""
-    from .simplicial import is_bvertex, is_level_vertex
-
     def strip(v, acc):
         if is_bvertex(v):
             for x in v[1]:
@@ -439,7 +443,7 @@ def _base_face_of(cyl: MappingCylinder, key):
     return frozenset(acc)
 
 
-def cylinder_covering(k, eta: NestingOracle, n_cap=6, k_cap=3):
+def cylinder_covering(k, eta: NestingOracle, n_cap=6):
     """Covering of the stacked cylinder with the top pinned at barycenters.
 
     Seeds the prism faces touching the top of the first prism with
@@ -447,12 +451,12 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6, k_cap=3):
     subdivision, and extends over the n-step prism; the two coverings
     agree along the seam and glue.
     """
-    probe = mapping_cylinder(k, eta, 0, k_cap)
+    probe = mapping_cylinder(k, eta, 0)
     accepted = probe.accepted
     if not accepted.faces:
         res = find_covering(probe.L, probe.L_realization, probe.q_eta,
                             n_cap=n_cap)
-        cyl = mapping_cylinder(k, eta, res.n, k_cap)
+        cyl = mapping_cylinder(k, eta, res.n)
         return res.n, res.covering, cyl
 
     def prism_region(base_face):
@@ -475,7 +479,7 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6, k_cap=3):
     res = find_covering(probe.L, probe.L_realization, probe.q_eta,
                         seed=seed, n_cap=n_cap)
     n = res.n
-    cyl = mapping_cylinder(k, eta, n, k_cap)
+    cyl = mapping_cylinder(k, eta, n)
 
     # covering of the stacked prism part
     upper_assign = {}
@@ -525,8 +529,7 @@ class ProjectionData:
     h: dict         # all faces -> FormalChain (after the extension)
 
 
-def small_chain_projection(k, eta: NestingOracle, n_cap=6, k_cap=3
-                           ) -> ProjectionData:
+def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
     """The projection onto small chains together with both homotopies.
 
     pi sends a face through n-fold subdivision and the covering's
@@ -535,7 +538,7 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6, k_cap=3
     of the accepted subcomplex and pi; h extends it to every face by
     deterministic cone fillers.
     """
-    n, covering, cyl = cylinder_covering(k, eta, n_cap, k_cap)
+    n, covering, cyl = cylinder_covering(k, eta, n_cap)
     delta = deformation_map(covering)
     q = cyl.q
 
@@ -589,14 +592,13 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6, k_cap=3
                           pi=pi, h0=h0, h=h)
 
 
-def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6, k_cap=3):
+def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6):
     """A small chain whose boundary equals the boundary of the given
     simplex; the simplex's boundary must already be small.
 
     Realizes the step-2 shape: push pi(top) + h(boundary) forward along
     the simplex's affine parameterization.
     """
-    from .nesting import in_c_eta
     pts = [tuple(frac(c) for c in p) for p in points]
     k = len(pts) - 1
     for i in range(k + 1):
@@ -609,7 +611,7 @@ def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6, k_cap=3):
                  for j in range(len(pts[0])))
     f = AffineMap(rows, tuple(Fraction(0) for _ in range(len(pts[0]))))
     back = pullback(f, eta)
-    data = small_chain_projection(k, back, n_cap, k_cap)
+    data = small_chain_projection(k, back, n_cap)
     top = frozenset(range(k + 1))
     x = data.pi[top]
     for sub, c in data.cyl.base_complex.boundary_of_face(top).items():

@@ -208,7 +208,6 @@ class SmithDecomposition:
     D: IntMatrix
     V: IntMatrix
     U_inv: IntMatrix
-    V_inv: IntMatrix
 
     def diagonal(self):
         n = min(self.D.rows, self.D.cols)
@@ -242,7 +241,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     u = IntMatrix.identity(rows).rows_list()
     uinv = IntMatrix.identity(rows).rows_list()
     v = IntMatrix.identity(cols).rows_list()
-    vinv = IntMatrix.identity(cols).rows_list()
 
     def row_swap(i, k):
         m[i], m[k] = m[k], m[i]
@@ -256,7 +254,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             r[j], r[k] = r[k], r[j]
         for r in v:
             r[j], r[k] = r[k], r[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
 
     def row_add(i, k, q):
         # row_i += q * row_k
@@ -276,7 +273,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             r[j] += q * r[k]
         for r in v:
             r[j] += q * r[k]
-        vinv[k] = [a - q * b for a, b in zip(vinv[k], vinv[j])]
 
     def row_negate(i):
         m[i] = [-a for a in m[i]]
@@ -339,7 +335,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         D=IntMatrix.from_rows(m) if rows else IntMatrix(0, cols, []),
         V=IntMatrix.from_rows(v) if cols else IntMatrix(cols, cols, []),
         U_inv=IntMatrix.from_rows(uinv) if rows else IntMatrix(0, 0, []),
-        V_inv=IntMatrix.from_rows(vinv) if cols else IntMatrix(cols, cols, []),
     )
 
 

@@ -15,10 +15,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from importlib.resources import files
 
-from .simplicial import OrderedSimplicialComplex, vkey
+from .simplicial import (
+    OrderedSimplicialComplex,
+    content_lines,
+    parse_token,
+    vkey,
+)
 
-DEFAULT_POINT_CAP = 8
+POINT_CAP = 8
 
 
 class FiniteSpaceError(Exception):
@@ -42,7 +48,7 @@ class FiniteSpace:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_basis(cls, points, basis, check_t0=True):
+    def from_basis(cls, points, basis):
         """Topology generated by the given sets (as a subbasis)."""
         points = tuple(points)
         pset = frozenset(points)
@@ -63,10 +69,6 @@ class FiniteSpace:
                             family.add(new)
                             changed = True
         space = cls(points, family, check=False)
-        if check_t0:
-            pairs = space._indistinguishable_pairs()
-            if pairs:
-                raise NotT0Error(pairs)
         space.validate()
         return space
 
@@ -308,10 +310,10 @@ def disjoint_union(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(tuple(pa + pb), opens)
 
 
-def random_space(n, density, seed, cap=DEFAULT_POINT_CAP) -> FiniteSpace:
+def random_space(n, density, seed) -> FiniteSpace:
     """Seeded random T0 space: a random poset's Alexandrov topology."""
-    if n > cap:
-        raise FiniteSpaceError(f"point count {n} exceeds cap {cap}")
+    if n > POINT_CAP:
+        raise FiniteSpaceError(f"point count {n} exceeds cap {POINT_CAP}")
     rng = random.Random(seed)
     below = {i: {i} for i in range(n)}
     for j in range(n):
@@ -327,27 +329,17 @@ def random_space(n, density, seed, cap=DEFAULT_POINT_CAP) -> FiniteSpace:
 # space file format: line 1 = point names; then one basis open per line,
 # comma-separated point names
 
-def _parse_point(tok: str):
-    tok = tok.strip()
-    if tok.lstrip("-").isdigit():
-        return int(tok)
-    return tok
-
-
 def parse_space(text: str) -> FiniteSpace:
     # errors name a line by its number in the original text
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise FiniteSpaceError("empty space file")
-    points = tuple(_parse_point(t)
+    points = tuple(parse_token(t, lines[0][0], FiniteSpaceError)
                    for t in lines[0][1].replace(",", " ").split())
     basis = []
     for no, ln in lines[1:]:
-        try:
-            b = {_parse_point(t) for t in ln.split(",") if t.strip()}
-        except Exception as exc:
-            raise FiniteSpaceError(f"line {no}: cannot parse open ({exc})")
+        b = {parse_token(t.strip(), no, FiniteSpaceError)
+             for t in ln.split(",") if t.strip()}
         if not b <= set(points):
             raise FiniteSpaceError(
                 f"line {no}: open {sorted(map(str, b))} escapes the point set")
@@ -364,7 +356,6 @@ def format_space(space: FiniteSpace) -> str:
 
 
 def load_packaged_space(name: str) -> FiniteSpace:
-    from importlib.resources import files
     text = files("nestrix").joinpath(f"data/{name}").read_text()
     return parse_space(text)
 

@@ -46,6 +46,7 @@ from .simplicial import (
     OrderedSimplicialComplex,
     Realization,
     mesh_sq,
+    subdivide,
     vkey,
 )
 
@@ -365,7 +366,7 @@ def extend_to_ambient(eta: NestingOracle, W, ambient_realm) -> NestingOracle:
                           eta.descriptor), ev)
 
 
-def intersect_family(family_fn, realm, descriptor_tag="family") -> NestingOracle:
+def intersect_family(family_fn, realm) -> NestingOracle:
     """eta(x1..xm) = intersection over i of eta^{x_i}(x1, ..., x_i)."""
 
     def ev(seq):
@@ -377,7 +378,7 @@ def intersect_family(family_fn, realm, descriptor_tag="family") -> NestingOracle
         return intersection(parts)
 
     return NestingOracle(realm, "family-intersection",
-                         ("intersect", descriptor_tag), ev)
+                         ("intersect", "family"), ev)
 
 
 def broken_demo_nesting(realm, rule) -> NestingOracle:
@@ -560,9 +561,9 @@ def in_c_eta(points, eta: NestingOracle, proper_only=True, max_len=None) -> bool
 
 
 def face_in_c_eta(K: OrderedSimplicialComplex, R: Realization, key,
-                  eta: NestingOracle, proper_only=True) -> bool:
+                  eta: NestingOracle) -> bool:
     pts = [R.point(v) for v in K.order(key)]
-    return in_c_eta(pts, eta, proper_only=proper_only)
+    return in_c_eta(pts, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +582,14 @@ class CoverageError(NestingError):
 
 
 def validate_coverage(cover: CoverSpec, K: OrderedSimplicialComplex,
-                      R: Realization, sample_depth=2):
+                      R: Realization):
     """Sound sample-based coverage check: vertices and barycenters of every
-    face of ``sample_depth`` subdivisions must lie in some member.  A
+    face of K and of its first two subdivisions must lie in some member.  A
     missed sample certifies a gap; acceptance is on the sample set only."""
     complexes = [K]
     real = R
     cur = K
-    for _ in range(sample_depth):
-        from .simplicial import subdivide
+    for _ in range(2):
         res = subdivide(cur)
         cur = res.complex
         complexes.append(cur)
@@ -633,7 +633,6 @@ def subdivision_retraction(K: OrderedSimplicialComplex, R: Realization,
                 break
         if ok:
             return n
-        from .simplicial import subdivide
         res = subdivide(cur_K)
         new_chain = {}
         for key, c in cur_chain.items():

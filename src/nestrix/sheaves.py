@@ -40,6 +40,10 @@ from .exact import (
 from .finite_space import FiniteSpace, example03_space
 from .simplicial import vkey
 
+# largest degree and point count the Godement pipeline takes
+GODEMENT_DEGREE_CAP = 3
+GODEMENT_POINT_CAP = 6
+
 
 class SheafError(Exception):
     pass
@@ -105,10 +109,6 @@ class Presheaf:
 
     def stalk(self, x) -> Presentation:
         return self.group(self.space.minimal_open(x))
-
-    def stalk_restriction(self, x, U) -> IntMatrix:
-        """Germ map F(U) -> F_x = F(U_x), for x in U."""
-        return self.restriction(U, self.space.minimal_open(x))
 
 
 def _stacked_restrictions(F: Presheaf, U, opens) -> IntMatrix:
@@ -562,14 +562,15 @@ def _coker_presheaf(F: Presheaf, G: Presheaf, unit_matrix):
     return Presheaf(sp, group_fn, res_fn, name=f"coker({F.name})")
 
 
-def sheaf_cohomology_godement(F: Presheaf, max_degree,
-                              degree_cap=3, point_cap=6) -> list:
+def sheaf_cohomology_godement(F: Presheaf, max_degree) -> list:
     """Global sections of iterated stalk-product envelopes, then cohomology."""
     sp = F.space
-    if max_degree > degree_cap:
-        raise CoverCapExceeded(degree_cap, max_degree, "godement degree")
-    if len(sp.points) > point_cap:
-        raise CoverCapExceeded(point_cap, len(sp.points), "godement points")
+    if max_degree > GODEMENT_DEGREE_CAP:
+        raise CoverCapExceeded(GODEMENT_DEGREE_CAP, max_degree,
+                               "godement degree")
+    if len(sp.points) > GODEMENT_POINT_CAP:
+        raise CoverCapExceeded(GODEMENT_POINT_CAP, len(sp.points),
+                               "godement points")
     X = frozenset(sp.points)
     cur = F
     gs_groups = []

@@ -4,7 +4,9 @@ Faces carry vertex orderings compatible with restriction to subfaces, so
 every face is a well-defined generator of the simplicial chain complex.
 On top of that this module provides the chain-level operators:
 
-* ``subdivide``      -- barycentric subdivision ``S`` with its chain map,
+* ``subdivide``      -- barycentric subdivision ``S`` with its chain map, by
+  the cone formula S(v) = v, S(sigma) = sum_i (-1)^i b_sigma . S(d_i sigma)
+  (b_sigma the barycenter, b . [w_0, ..., w_m] = [b, w_0, ..., w_m]),
 * ``prism_complex``  -- the prism ``P`` on ``|K| x [a,b]`` with the standard
   chain homotopy between the two end inclusions,
 * ``t_complex`` / ``t_n_complex`` -- the cone-built prism ``T`` (bottom
@@ -22,7 +24,10 @@ Sign conventions (fixed repo-wide):
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +36,7 @@ from .exact import (
     IntMatrix,
     NotABoundary,
     frac,
+    frac_str,
     solve_boundary,
 )
 
@@ -41,10 +47,6 @@ class SimplicialError(Exception):
 
 class OrderingConflict(SimplicialError):
     """Face orderings fail the restriction-compatibility requirement."""
-
-
-class DegenerateSimplexError(SimplicialError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -385,84 +387,6 @@ def resolve_vertex(v, base):
     raise SimplicialError(f"cannot resolve coordinates of {v!r}")
 
 
-def affinely_independent(points):
-    if not points:
-        return True
-    base = points[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return rational_rank(rows) == len(points) - 1
-
-
-def rational_rank(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    c = 0
-    while rank < len(rows) and c < cols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            c += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        c += 1
-    return rank
-
-
-def det_sign(rows):
-    """Sign of a rational determinant (square)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    n = len(rows)
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        if rows[c][c] < 0:
-            sign = -sign
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[c][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign
-
-
-def standard_chart(order):
-    """Chart of a face: first vertex at the origin, i-th at e_i in Q^k."""
-    k = len(order) - 1
-    chart = {}
-    for i, v in enumerate(order):
-        pt = [Fraction(0)] * k
-        if i > 0:
-            pt[i - 1] = Fraction(1)
-        chart[v] = tuple(pt)
-    return chart
-
-
-def cone(apex, order, realization: Realization | None = None):
-    """Ordered cone [apex, v_0, ..., v_k]; degenerate when realized flat."""
-    if apex in order:
-        raise DegenerateSimplexError(f"apex {apex!r} already a vertex")
-    new = (apex,) + tuple(order)
-    if realization is not None:
-        pts = [realization.point(v) for v in new]
-        if not affinely_independent(pts):
-            raise DegenerateSimplexError(
-                f"cone over {order!r} with apex {apex!r} is affinely degenerate")
-    return new
-
-
 # ---------------------------------------------------------------------------
 # barycentric subdivision
 
@@ -473,60 +397,40 @@ class SubdivisionResult:
     carrier: dict  # face of S(K) -> smallest face of K containing it
 
 
-def _flag_facets(complex_, key):
-    """Full flags tau_0 < ... < tau_m = key, as apex-first ordered tuples."""
+def _flag_facets(complex_, key, memo):
+    """Full flags under ``key`` as (apex-first tuple, sign) pairs; the signs
+    multiply the (-1)^i of the cone formula, so the pairs sum to S(key)."""
+    if key in memo:
+        return memo[key]
     order = complex_.order(key)
     if len(order) == 1:
-        return [order]
-    out = []
-    for i in range(len(order)):
-        sub = order[:i] + order[i + 1:]
-        for f in _flag_facets(complex_, frozenset(sub)):
-            out.append((bvertex(key),) + f)
+        out = [(order, 1)]
+    else:
+        apex = bvertex(key)
+        out = []
+        for i in range(len(order)):
+            sub = frozenset(order[:i] + order[i + 1:])
+            for f, sign in _flag_facets(complex_, sub, memo):
+                out.append(((apex,) + f, (-1) ** i * sign))
+    memo[key] = out
     return out
 
 
 def subdivide(K: OrderedSimplicialComplex) -> SubdivisionResult:
     """Barycentric subdivision with its chain map and carrier bookkeeping."""
-    facet_lists = {}
-    for key in K.faces:
-        facet_lists[key] = _flag_facets(K, key)
+    flags = {}
+    # distinct flags span distinct faces, so no coefficient cancels
+    values = {key: {frozenset(f): sign
+                    for f, sign in _flag_facets(K, key, flags)}
+              for key in K.faces}
     SK = OrderedSimplicialComplex.from_facets(
-        [f for key in K.facets() for f in facet_lists[key]])
+        [f for key in K.facets() for f, _ in flags[key]])
 
-    parent = {}
-    for key in K.faces:
-        parent[bvertex(key)] = key
-    carrier = {}
-    for fkey in SK.faces:
-        par = None
-        for v in fkey:
-            p = parent.get(v, None)
-            if p is None:
-                p = frozenset([v])
-            if par is None or par < p:
-                par = p
-        # vertices of a subdivision face are barycenters of a flag, so the
-        # parents are nested and the largest one is the carrier
-        carrier[fkey] = par
-
-    values = {}
-    for key in K.faces:
-        chart = standard_chart(K.order(key))
-        chain = {}
-        for f in facet_lists[key]:
-            pts = [resolve_vertex(v, chart) for v in f]
-            if len(f) == 1:
-                sign = 1
-            else:
-                sign = det_sign([[pts[i][j] - pts[0][j]
-                                  for j in range(len(pts[0]))]
-                                 for i in range(1, len(pts))])
-            if sign == 0:
-                raise SimplicialError("degenerate subdivision facet")
-            fk = frozenset(f)
-            chain[fk] = chain.get(fk, 0) + sign
-        values[key] = {k: c for k, c in chain.items() if c}
+    parent = {bvertex(key): key for key in K.faces}
+    # vertices of a subdivision face are barycenters of a flag, so the
+    # parents are nested and the largest one is the carrier
+    carrier = {fkey: max((parent[v] for v in fkey), key=len)
+               for fkey in SK.faces}
     S = SimplicialChainMap(K, SK, 0, values)
     return SubdivisionResult(SK, S, carrier)
 
@@ -674,32 +578,29 @@ def t_n_complex(K, n, a=0, b=1):
     if n < 1:
         raise SimplicialError("t_n_complex needs n >= 1")
     a, b = frac(a), frac(b)
-    subs, _, _ = iterate_subdivide(K, n)
-    complexes = [K] + [r.complex for r in subs]  # S^0 .. S^n
     levels = [a + (b - a) * Fraction(i, n) for i in range(n + 1)]
     total = None
     piece_maps = []
+    subs = []
+    base = K
     for i in range(1, n + 1):
-        # piece i spans [levels[n-i], levels[n-i+1]] over S^{i-1}(K);
-        # its bottom is S^i(K)
-        base = complexes[i - 1]
-        TK, T, _ = t_complex(base, levels[n - i], levels[n - i + 1])
+        # piece i spans [levels[n-i], levels[n-i+1]] over S^{i-1}(K); its
+        # bottom subdivision is S^i(K)
+        TK, T, sub = t_complex(base, levels[n - i], levels[n - i + 1])
         piece_maps.append(T)
+        subs.append(sub)
         total = TK if total is None else total.union(TK)
+        base = sub.complex
     # chain homotopy: T_n(x) = sum_i T^(i)(S^{i-1}(x))
     values = {}
     for key in K.faces:
         chain = {key: 1}
         acc = {}
-        for i in range(1, n + 1):
-            # chain currently lives in S^{i-1}(K)
-            acc = chain_add(acc, piece_maps[i - 1].apply(chain))
-            if i < n:
-                chain_next = {}
-                for kk, c in chain.items():
-                    chain_next = chain_add(chain_next,
-                                           subs[i - 1].chain_map.values[kk], c)
-                chain = chain_next
+        for i in range(n):
+            # chain currently lives in S^i(K)
+            acc = chain_add(acc, piece_maps[i].apply(chain))
+            if i < n - 1:
+                chain = subs[i].chain_map.apply(chain)
         values[key] = acc
     Tn = SimplicialChainMap(K, total, 1, values)
     return total, Tn, subs
@@ -721,27 +622,14 @@ def mesh_sq(K: OrderedSimplicialComplex, R: Realization) -> Fraction:
     return best
 
 
-def _lcm_upto(n):
-    acc = 1
-    for m in range(2, n + 1):
-        import math
-        acc = acc * m // math.gcd(acc, m)
-    return acc
-
-
 def iterated_mesh_sq(points, n) -> Fraction:
     """mesh_sq of the n-fold subdivision of the simplex on ``points``.
 
     Runs on scaled integer coordinates without materializing the complex,
     so deep subdivisions stay tractable.
     """
-    import itertools
     pts = [tuple(frac(c) for c in p) for p in points]
-    denom = 1
-    for p in pts:
-        for c in p:
-            denom = denom * c.denominator // __import__("math").gcd(
-                denom, c.denominator)
+    denom = math.lcm(*(c.denominator for p in pts for c in p))
     scaled = [tuple(int(c * denom) for c in p) for p in pts]
     best = 0
     total_scale = denom
@@ -758,7 +646,7 @@ def iterated_mesh_sq(points, n) -> Fraction:
                         total_scale = scale
             continue
         k = len(cur) - 1
-        L = _lcm_upto(k + 1)
+        L = math.lcm(*range(1, k + 2))
         for perm in itertools.permutations(range(k + 1)):
             acc = tuple(0 for _ in cur[0])
             fac = []
@@ -796,26 +684,36 @@ def format_complex(K: OrderedSimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_vertex(tok: str):
-    if tok.lstrip("-").isdigit():
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def content_lines(text: str):
+    """(line number, stripped line) for every non-blank, non-comment line."""
+    return [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+            if ln.strip() and not ln.strip().startswith("#")]
+
+
+def parse_token(tok: str, no: int, error):
+    """A vertex or point name: an integer (``-?digits``) or an identifier.
+
+    Any other token raises ``error`` naming line ``no`` and the token.
+    """
+    if _INTEGER.fullmatch(tok):
         return int(tok)
-    return tok
+    if tok.isidentifier():
+        return tok
+    raise error(f"line {no}: cannot parse token {tok!r}")
 
 
 def parse_complex(text: str) -> OrderedSimplicialComplex:
-    facets = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        facets.append(tuple(_parse_vertex(t) for t in line.split()))
+    facets = [tuple(parse_token(t, no, SimplicialError) for t in line.split())
+              for no, line in content_lines(text)]
     if not facets:
         raise SimplicialError("no faces in complex file")
     return OrderedSimplicialComplex.from_facets(facets)
 
 
 def format_realization(R: Realization) -> str:
-    from .exact import frac_str
     lines = []
     for v in sorted(R.coords, key=vkey):
         coords = " ".join(frac_str(x) for x in R.coords[v])
@@ -825,11 +723,8 @@ def format_realization(R: Realization) -> str:
 
 def parse_realization(text: str) -> Realization:
     coords = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in content_lines(text):
         name, _, rest = line.partition(":")
-        coords[_parse_vertex(name.strip())] = tuple(
+        coords[parse_token(name.strip(), no, SimplicialError)] = tuple(
             frac(t) for t in rest.split())
     return Realization(coords)

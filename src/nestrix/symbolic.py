@@ -22,10 +22,11 @@ back.  An undecided containment fails closed.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .exact import frac
-from .nesting import NestingOracle, UnknownContainment
+from .nesting import NestingOracle, UnknownContainment, face_chains_to_top
 from .regions import (
     AffineMap,
     Region,
@@ -330,14 +331,13 @@ def _subsimplex(simplex: SymbolicSimplex, indices):
 
 def symbolic_in_c_eta(simplex: SymbolicSimplex, eta: NestingOracle) -> Tri:
     """Small-chain membership via proper face chains ending at the simplex."""
-    import itertools
     k = simplex.dim
     full = tuple(range(k + 1))
     subs = {}
     for size in range(1, k + 2):
         for S in itertools.combinations(full, size):
             subs[S] = _subsimplex(simplex, S)
-    chains = _strict_chains_to(full)
+    chains = face_chains_to_top(full)
     verdict = Tri.TRUE
     for chain in chains:
         barys = [subs[S].barycenter() for S in chain]
@@ -350,32 +350,12 @@ def symbolic_in_c_eta(simplex: SymbolicSimplex, eta: NestingOracle) -> Tri:
     return verdict
 
 
-def _strict_chains_to(full):
-    import itertools
-    chains = []
-
-    def rec(chain):
-        chains.append(tuple(chain))
-        head = chain[0]
-        for size in range(1, len(head)):
-            for sub in itertools.combinations(head, size):
-                chain.insert(0, sub)
-                rec(chain)
-                chain.pop(0)
-
-    rec([tuple(full)])
-    return chains
-
-
-def chain_in_c_eta(chain: FormalChain, eta: NestingOracle,
-                   fail_closed=True) -> bool:
+def chain_in_c_eta(chain: FormalChain, eta: NestingOracle) -> bool:
     for s in chain.terms:
         res = symbolic_in_c_eta(s, eta)
         if res is Tri.FALSE:
             return False
         if res is Tri.UNKNOWN:
-            if fail_closed:
-                raise UnknownContainment(
-                    f"cannot certify small-chain membership of {s!r}")
-            return False
+            raise UnknownContainment(
+                f"cannot certify small-chain membership of {s!r}")
     return True

@@ -230,3 +230,9 @@ class TestFileFormat:
         with pytest.raises(FiniteSpaceError) as exc:
             parse_space("1 2\n# comment\n\n1,(\n")
         assert "line 4" in str(exc.value)
+
+    def test_bad_token_is_a_parse_error(self):
+        with pytest.raises(FiniteSpaceError, match="line 1: cannot parse"):
+            parse_space("1 (\n1\n")
+        with pytest.raises(FiniteSpaceError, match="line 2: cannot parse"):
+            parse_space("1 2\n1,(\n")

@@ -6,14 +6,13 @@ import pytest
 
 from nestrix.simplicial import (
     iterated_mesh_sq,
-    DegenerateSimplexError,
     OrderedSimplicialComplex,
     OrderingConflict,
     Realization,
     SimplicialChainMap,
+    SimplicialError,
     chain_add,
     chain_eq,
-    cone,
     format_complex,
     format_realization,
     iterate_subdivide,
@@ -68,25 +67,6 @@ class TestComplexBasics:
         K = OrderedSimplicialComplex.from_facets([(0, 1, 2), (2, 3)])
         assert set(map(frozenset, K.facets())) == {
             frozenset({0, 1, 2}), frozenset({2, 3})}
-
-
-class TestCone:
-    def test_cone_vertex(self):
-        assert cone("b", (0,)) == ("b", 0)
-
-    def test_cone_edge_has_three_vertices(self):
-        assert len(cone("b", (0, 1))) == 3
-
-    def test_double_cone_degenerate(self):
-        R = Realization({"b": (0, 0), 0: (1, 0), 1: (0, 1)})
-        first = cone("b", (0, 1), R)
-        R2 = Realization({**R.coords, "c": (0, 0)})
-        with pytest.raises(DegenerateSimplexError):
-            cone("c", first, R2)
-
-    def test_apex_repeat_rejected(self):
-        with pytest.raises(DegenerateSimplexError):
-            cone(0, (0, 1))
 
 
 class TestSubdivision:
@@ -206,7 +186,10 @@ class TestPrismT:
         K = delta(1)
         n = 2
         TnK, Tn, subs = t_n_complex(K, n)
-        _, chain_map, _ = iterate_subdivide(K, n)
+        iterated, chain_map, _ = iterate_subdivide(K, n)
+        # the levels' own subdivisions are the plain n-fold subdivision
+        assert [s.complex for s in subs] == [r.complex for r in iterated]
+        assert [s.chain_map for s in subs] == [r.chain_map for r in iterated]
         a, b = Fraction(0), Fraction(1)
         f = lambda key: {frozenset((v, a) for v in k): c
                          for k, c in chain_map.values[key].items()}
@@ -317,3 +300,9 @@ class TestTextFormat:
                          1: (Fraction(1), Fraction(3, 4))})
         R2 = parse_realization(format_realization(R))
         assert R2.coords == R.coords
+
+    def test_bad_token_names_its_line(self):
+        with pytest.raises(SimplicialError, match="line 2.*'\\('"):
+            parse_complex("0 1\n1 (\n")
+        with pytest.raises(SimplicialError, match="line 3"):
+            parse_realization("# coordinates\n0: 0 0\n1.5: 1 0\n")
