@@ -57,6 +57,7 @@ from .simplicial import (
     prism_complex,
     resolve_vertex,
     sorted_vs,
+    subdivision_levels,
     t_n_complex,
     vkey,
 )
@@ -73,7 +74,16 @@ K_CAP = 3
 
 
 class CoveringError(Exception):
-    pass
+    """A covering could not be found or built.
+
+    ``attempts`` lists every (n, strategy, first failure) of a failed
+    ``find_covering`` search, in the order they were made; it is empty for
+    other errors.
+    """
+
+    def __init__(self, message, attempts=()):
+        super().__init__(message)
+        self.attempts = list(attempts)
 
 
 @dataclass
@@ -266,8 +276,9 @@ def find_covering(K: OrderedSimplicialComplex, R: Realization,
                 if k < other and other not in seed.faces():
                     raise CoveringError("seed face set is not upwards closed")
     attempts = []
+    levels = subdivision_levels(K)
     for n in range(n_cap + 1):
-        subs, chain_map, carrier = iterate_subdivide(K, n)
+        subs, chain_map, carrier = next(levels)
         cx = subs[-1].complex if subs else K
         real = R.extended_to(cx)
         for strategy in ("barycenter", "vertex"):
@@ -278,10 +289,12 @@ def find_covering(K: OrderedSimplicialComplex, R: Realization,
                     n, cand, cx, real, carrier, subs, chain_map, strategy)
             attempts.append((n, strategy, report.first()))
     mesh = mesh_sq(K, R)
+    tried = "; ".join(f"n={n} {strategy}: {failure[0]}"
+                      for n, strategy, failure in attempts)
     raise CoveringError(
         f"no compatible covering within subdivision cap {n_cap}; "
-        f"base squared mesh {frac_str(mesh)}; "
-        f"last failure: {attempts[-1]!r}")
+        f"base squared mesh {frac_str(mesh)}; attempts: {tried}; "
+        f"last failure: {attempts[-1]!r}", attempts)
 
 
 # ---------------------------------------------------------------------------

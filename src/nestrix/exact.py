@@ -16,11 +16,28 @@ Everything in here is computed over Z (arbitrary-precision ints) or Q
 ``presented_cohomology_at`` is the one cohomology routine: homology, Z and
 Z/m cohomology of a chain complex and every sheaf-cohomology pipeline ask
 it for the middle of G0 -> G1 -> G2 on presented groups.
+
+Costs, counted in operations on entries (arbitrary-precision ints, so each
+grows with bit length), for an r x c matrix A:
+
+* ``A.apply(x)`` reads each entry once: O(r*c).
+* ``A * B`` builds row i as the combination of B's rows weighted by row
+  i's nonzero entries: O(r*c + nnz(A) * B.cols).  ``col``, ``transpose`` and
+  ``take_columns`` are strided slices, O(entries read).
+* ``smith_normal_form(A)``: each row or column operation touches O(r + c)
+  entries of A, U, U^-1 and V (column operations skip zero rows), and a
+  clearing pass at a pivot makes up to r + c of them, so the form costs
+  O(min(r, c) * (r + c)^2) when every pivot clears in one pass.  The pivot search stops at
+  the first unit entry and a unit pivot skips the divisibility sweep.
+* ``lattice_coordinates`` solves all columns against one Smith form with
+  two products, U * vectors and V * Y.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +54,11 @@ class NotACycleError(ExactAlgebraError):
     """Raised when a boundary equation is posed for a non-cycle."""
 
 
+def _axpy(x, q, y):
+    """The list x + q * y, entry by entry."""
+    return list(map(operator.add, x, map(operator.mul, y, itertools.repeat(q))))
+
+
 class IntMatrix:
     """Immutable integer matrix, row-major."""
 
@@ -45,21 +67,19 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ExactAlgebraError("negative matrix dimensions")
-        data = []
         if entries and isinstance(entries[0], (list, tuple)):
-            for row in entries:
-                data.extend(row)
+            data = tuple(itertools.chain.from_iterable(entries))
         else:
-            data = list(entries)
+            data = tuple(entries)
         if len(data) != rows * cols:
             raise ExactAlgebraError(
                 f"expected {rows * cols} entries, got {len(data)}")
-        for e in data:
-            if not isinstance(e, int):
-                raise ExactAlgebraError(f"non-integer entry {e!r}")
+        if not all(map(isinstance, data, itertools.repeat(int))):
+            bad = next(e for e in data if not isinstance(e, int))
+            raise ExactAlgebraError(f"non-integer entry {bad!r}")
         self.rows = rows
         self.cols = cols
-        self._data = tuple(data)
+        self._data = data
 
     @classmethod
     def from_rows(cls, rows):
@@ -69,7 +89,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -82,14 +102,16 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, rows, columns):
         """The matrix with the given columns, each of length ``rows``."""
-        return cls(rows, len(columns), [[c[i] for c in columns]
-                                        for i in range(rows)])
+        if any(len(c) != rows for c in columns):
+            raise ExactAlgebraError(f"columns must have length {rows}")
+        return cls(rows, len(columns), list(zip(*columns)))
 
     @classmethod
     def diagonal(cls, entries):
         n = len(entries)
-        return cls(n, n, [entries[i] if i == j else 0
-                          for i in range(n) for j in range(n)])
+        data = [0] * (n * n)
+        data[::n + 1] = entries
+        return cls(n, n, data)
 
     def entry(self, i, j):
         return self._data[i * self.cols + j]
@@ -98,28 +120,31 @@ class IntMatrix:
         return self._data[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j):
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
+        return self._data[j::self.cols]
 
     def rows_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
-                         [self.entry(i, j) for j in range(self.cols)
-                          for i in range(self.rows)])
+                         [self.col(j) for j in range(self.cols)])
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ExactAlgebraError("shape mismatch in matrix product")
+            # row i of the product combines other's rows with row i's
+            # nonzero entries as coefficients
+            orows = [other.row(k) for k in range(other.rows)]
+            zero = [0] * other.cols
             out = []
-            ocols = other.cols
             for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(ocols):
-                    out.append(sum(ri[k] * other.entry(k, j)
-                                   for k in range(self.cols)))
-            return IntMatrix(self.rows, ocols, out)
+                acc = zero
+                for a, orow in zip(self.row(i), orows):
+                    if a:
+                        acc = _axpy(acc, a, orow)
+                out.extend(acc)
+            return IntMatrix(self.rows, other.cols, out)
         if isinstance(other, int):
             return IntMatrix(self.rows, self.cols,
                              [other * e for e in self._data])
@@ -131,7 +156,7 @@ class IntMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ExactAlgebraError("shape mismatch in matrix sum")
         return IntMatrix(self.rows, self.cols,
-                         [a + b for a, b in zip(self._data, other._data)])
+                         list(map(operator.add, self._data, other._data)))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -150,28 +175,31 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.rows_list()})"
 
     def is_zero(self):
-        return all(e == 0 for e in self._data)
+        return not any(self._data)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ExactAlgebraError("row mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix(self.rows, self.cols + other.cols, rows)
+        return IntMatrix(self.rows, self.cols + other.cols,
+                         [self.row(i) + other.row(i) for i in range(self.rows)])
 
     def take_columns(self, indices):
-        rows = [[self.entry(i, j) for j in indices] for i in range(self.rows)]
-        return IntMatrix(self.rows, len(indices), rows)
+        return IntMatrix.from_columns(self.rows, [self.col(j) for j in indices])
 
     def take_rows(self, indices):
         return IntMatrix(len(indices), self.cols,
-                         [list(self.row(i)) for i in indices])
+                         [self.row(i) for i in indices])
 
     def apply(self, vec):
         """Matrix-vector product over Z."""
-        if len(vec) != self.cols:
+        cols = self.cols
+        if len(vec) != cols:
             raise ExactAlgebraError("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        if not cols:
+            return (0,) * self.rows
+        data = self._data
+        return tuple(sum(map(operator.mul, data[i:i + cols], vec))
+                     for i in range(0, len(data), cols))
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -209,25 +237,43 @@ class SmithDecomposition:
     V: IntMatrix
     U_inv: IntMatrix
 
-    def diagonal(self):
+    def __post_init__(self):
         n = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entry(i, i) for i in range(n))
+        object.__setattr__(self, "_diagonal",
+                           tuple(self.D.entry(i, i) for i in range(n)))
+
+    def diagonal(self):
+        return self._diagonal
 
     def rank(self):
         return sum(1 for d in self.diagonal() if d != 0)
 
 
 def _min_pivot(m, rows, cols, t):
-    """Smallest |entry| in the trailing block, ties by lowest row then column."""
+    """Smallest |entry| in the trailing block, ties by lowest row then column.
+
+    An entry of absolute value 1 ends the scan: the first one in row-major
+    order is the entry the full scan would pick.
+    """
     best = None
     for i in range(t, rows):
-        for j in range(t, cols):
-            v = m[i][j]
-            if v != 0:
-                a = abs(v)
-                if best is None or a < best[0]:
-                    best = (a, i, j)
+        tail = m[i][t:]
+        if not any(tail):
+            continue
+        a = min(map(abs, filter(None, tail)))
+        if best is None or a < best[0]:
+            j = next(j for j, v in enumerate(tail) if v == a or v == -a)
+            best = (a, i, t + j)
+            if a == 1:
+                break
     return best
+
+
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -238,9 +284,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """
     rows, cols = A.rows, A.cols
     m = A.rows_list()
-    u = IntMatrix.identity(rows).rows_list()
-    uinv = IntMatrix.identity(rows).rows_list()
-    v = IntMatrix.identity(cols).rows_list()
+    u = _identity_rows(rows)
+    uinv = _identity_rows(rows)
+    v = _identity_rows(cols)
 
     def row_swap(i, k):
         m[i], m[k] = m[k], m[i]
@@ -259,20 +305,23 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         # row_i += q * row_k
         if q == 0:
             return
-        m[i] = [a + q * b for a, b in zip(m[i], m[k])]
-        u[i] = [a + q * b for a, b in zip(u[i], u[k])]
+        m[i] = _axpy(m[i], q, m[k])
+        u[i] = _axpy(u[i], q, u[k])
         # inverse op on the right: column_k -= q * column_i
         for r in uinv:
-            r[k] -= q * r[i]
+            if r[i]:
+                r[k] -= q * r[i]
 
     def col_add(j, k, q):
         # col_j += q * col_k
         if q == 0:
             return
         for r in m:
-            r[j] += q * r[k]
+            if r[k]:
+                r[j] += q * r[k]
         for r in v:
-            r[j] += q * r[k]
+            if r[k]:
+                r[j] += q * r[k]
 
     def row_negate(i):
         m[i] = [-a for a in m[i]]
@@ -314,28 +363,23 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                     clean = False
         if not clean:
             continue
-        # enforce divisibility of the remaining block by the pivot
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    bad = i
-                    break
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # pivot divides everything
+        p = m[t][t]
+        if p != 1 and p != -1:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % p for x in m[i][t + 1:])), None)
             if bad is not None:
-                break
-        if bad is not None:
-            row_add(t, bad, 1)
-            continue  # redo pivot t
-        if m[t][t] < 0:
+                row_add(t, bad, 1)
+                continue  # redo pivot t
+        if p < 0:
             row_negate(t)
         t += 1
 
-    return SmithDecomposition(
-        U=IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, []),
-        D=IntMatrix.from_rows(m) if rows else IntMatrix(0, cols, []),
-        V=IntMatrix.from_rows(v) if cols else IntMatrix(cols, cols, []),
-        U_inv=IntMatrix.from_rows(uinv) if rows else IntMatrix(0, 0, []),
-    )
+    return SmithDecomposition(U=IntMatrix(rows, rows, u),
+                              D=IntMatrix(rows, cols, m),
+                              V=IntMatrix(cols, cols, v),
+                              U_inv=IntMatrix(rows, rows, uinv))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +400,7 @@ def image_basis(A: IntMatrix) -> IntMatrix:
     """Columns form a basis of the column span of A over Z."""
     snf = smith_normal_form(A)
     diag = snf.diagonal()
-    cols = [tuple(d * snf.U_inv.entry(i, j) for i in range(A.rows))
+    cols = [tuple(d * x for x in snf.U_inv.col(j))
             for j, d in enumerate(diag) if d != 0]
     return IntMatrix.from_columns(A.rows, cols)
 
@@ -429,16 +473,27 @@ def preimage_lattice(A: IntMatrix, L: IntMatrix) -> IntMatrix:
 def lattice_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     """Column j is the x with basis * x = column j of ``vectors``.
 
-    Every column must lie in the lattice the basis spans.
+    Every column must lie in the lattice the basis spans.  All columns are
+    solved against one Smith form: x = V * (U * vectors / D).
     """
     snf = smith_normal_form(basis)
-    cols = []
-    for j in range(vectors.cols):
-        x = solve_exact(basis, vectors.col(j), snf)
-        if x is None:
-            raise ExactAlgebraError(f"column {j} escapes the lattice")
-        cols.append(x)
-    return IntMatrix.from_columns(basis.cols, cols)
+    c = snf.U * vectors
+    diag = snf.diagonal()
+    escaped = set()
+    y = []
+    for i in range(c.rows):
+        ci = c.row(i)
+        d = diag[i] if i < len(diag) else 0
+        if d == 1:
+            y.append(ci)
+            continue
+        escaped.update(j for j, x in enumerate(ci) if (x % d if d else x))
+        if i < basis.cols:
+            y.append([x // d for x in ci] if d else ci)
+    if escaped:
+        raise ExactAlgebraError(f"column {min(escaped)} escapes the lattice")
+    y.extend([0] * vectors.cols for _ in range(len(y), basis.cols))
+    return snf.V * IntMatrix(basis.cols, vectors.cols, y)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +767,7 @@ def cokernel_witness(A: IntMatrix, src: Presentation, dst: Presentation):
         if d == 1:
             continue
         # U_inv column i generates a nontrivial summand of the cokernel
-        return tuple(snf.U_inv.entry(r, i) for r in range(dst.rank))
+        return snf.U_inv.col(i)
     return None
 
 

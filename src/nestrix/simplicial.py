@@ -189,7 +189,7 @@ class OrderedSimplicialComplex:
             vkey(v) for v in sorted_vs(k))))
 
     def n_faces(self, d):
-        return len(self.faces_of_dim(d))
+        return sum(1 for k in self.faces if len(k) == d + 1)
 
     # -- chains ---------------------------------------------------------------
 
@@ -213,19 +213,17 @@ class OrderedSimplicialComplex:
         return self.faces_of_dim(d)
 
     def chain_complex(self) -> FinChainComplex:
-        dmax = self.dim()
-        ranks = {d: self.n_faces(d) for d in range(dmax + 1)}
+        bases = [self.basis(d) for d in range(self.dim() + 1)]
+        ranks = {d: len(keys) for d, keys in enumerate(bases)}
         boundaries = {}
-        for d in range(1, dmax + 1):
-            rows = self.basis(d - 1)
-            cols = self.basis(d)
-            index = {k: i for i, k in enumerate(rows)}
-            mat = [[0] * len(cols) for _ in rows]
-            for j, key in enumerate(cols):
+        for d in range(1, len(bases)):
+            index = {k: i for i, k in enumerate(bases[d - 1])}
+            ncols = len(bases[d])
+            data = [0] * (len(index) * ncols)
+            for j, key in enumerate(bases[d]):
                 for sub, c in self.boundary_of_face(key).items():
-                    mat[index[sub]][j] = c
-            boundaries[d] = IntMatrix(len(rows), len(cols),
-                                      [e for row in mat for e in row])
+                    data[index[sub] * ncols + j] = c
+            boundaries[d] = IntMatrix(len(index), ncols, data)
         return FinChainComplex(ranks, boundaries)
 
     def chain_to_vector(self, chain, d):
@@ -435,25 +433,26 @@ def subdivide(K: OrderedSimplicialComplex) -> SubdivisionResult:
     return SubdivisionResult(SK, S, carrier)
 
 
+def subdivision_levels(K):
+    """(subdivisions, composed chain map, carrier) for S^n K, n = 0, 1, ...
+
+    Each level subdivides the previous level's complex once.
+    """
+    results = []
+    chain_map = SimplicialChainMap(K, K, 0, {k: {k: 1} for k in K.faces})
+    carrier = {k: k for k in K.faces}
+    while True:
+        yield list(results), chain_map, carrier
+        res = subdivide(results[-1].complex if results else K)
+        chain_map = compose_chain_maps(res.chain_map, chain_map) \
+            if results else res.chain_map
+        carrier = {k: carrier[res.carrier[k]] for k in res.complex.faces}
+        results.append(res)
+
+
 def iterate_subdivide(K, n):
     """n-fold subdivision: (list of complexes, composed chain map, carrier)."""
-    results = []
-    cur = K
-    for _ in range(n):
-        res = subdivide(cur)
-        results.append(res)
-        cur = res.complex
-    if not results:
-        ident = SimplicialChainMap(K, K, 0, {k: {k: 1} for k in K.faces})
-        return [], ident, {k: k for k in K.faces}
-    chain_map = results[0].chain_map
-    for res in results[1:]:
-        chain_map = compose_chain_maps(res.chain_map, chain_map)
-    total_carrier = results[0].carrier
-    for res in results[1:]:
-        total_carrier = {k: total_carrier[res.carrier[k]]
-                         for k in res.complex.faces}
-    return results, chain_map, total_carrier
+    return next(itertools.islice(subdivision_levels(K), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +720,18 @@ def format_realization(R: Realization) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_coordinate(tok: str, no: int) -> Fraction:
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise SimplicialError(
+            f"line {no}: cannot parse coordinate {tok!r}") from None
+
+
 def parse_realization(text: str) -> Realization:
     coords = {}
     for no, line in content_lines(text):
         name, _, rest = line.partition(":")
         coords[parse_token(name.strip(), no, SimplicialError)] = tuple(
-            frac(t) for t in rest.split())
+            _parse_coordinate(t, no) for t in rest.split())
     return Realization(coords)

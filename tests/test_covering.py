@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from nestrix import simplicial
 from nestrix.covering import (
     CoveringError,
     boundary_in_small_chains,
+    delta_complex,
+    find_covering,
     small_chain_projection,
 )
 from nestrix.nesting import PLRealm, UniformBallRule, cover_generated
@@ -70,6 +73,40 @@ def test_projection_at_depth_two():
     eta = ball_nesting(2, Fraction(1, 8))
     data = small_chain_projection(1, eta, n_cap=3)
     assert_projection_identities(data, eta)
+
+
+def test_search_failure_keeps_every_attempt():
+    eta = ball_nesting(2, Fraction(1, 8))
+    with pytest.raises(CoveringError) as info:
+        small_chain_projection(1, eta, n_cap=3)
+    attempts = info.value.attempts
+    assert [(n, strategy) for n, strategy, _ in attempts] == [
+        (n, strategy) for n in range(4) for strategy in ("barycenter",
+                                                         "vertex")]
+    for _, _, (kind, _) in attempts:
+        assert kind in str(info.value)
+    assert "zero-face-pin" in str(info.value)
+
+
+def test_search_subdivides_once_per_depth(monkeypatch):
+    calls = []
+    subdivide = simplicial.subdivide
+
+    def counted(K):
+        calls.append(K)
+        return subdivide(K)
+
+    monkeypatch.setattr(simplicial, "subdivide", counted)
+    K, R = delta_complex(1)
+    res = find_covering(K, R, ball_nesting(2, Fraction(1, 20)), n_cap=4)
+    assert res.n == 2 and len(calls) == 2
+    monkeypatch.undo()
+    subs, chain_map, carrier = simplicial.iterate_subdivide(K, 2)
+    assert [s.complex for s in res.subdivision_results] == \
+        [s.complex for s in subs]
+    assert res.complex == subs[-1].complex
+    assert res.chain_map.values == chain_map.values
+    assert res.carrier == carrier
 
 
 def test_boundary_in_small_chains_segment():

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from nestrix.exact import (
     DegreeRangeError,
+    ExactAlgebraError,
     FinChainComplex,
     IntMatrix,
     NotABoundary,
@@ -23,6 +25,7 @@ from nestrix.exact import (
     kernel_basis,
     lattice_basis,
     lattice_contains,
+    lattice_coordinates,
     preimage_lattice,
     presented_cohomology_at,
     smith_normal_form,
@@ -32,6 +35,7 @@ from nestrix.exact import (
     zmod,
     ZCOEFF,
     QCOEFF,
+    _min_pivot,
 )
 from nestrix.simplicial import random_complex
 
@@ -103,6 +107,91 @@ def two_torsion():
     return FinChainComplex({0: 1, 1: 1}, {1: IntMatrix(1, 1, [2])})
 
 
+def random_rows(rng, rows, cols):
+    """Nested lists with zero rows, small entries and some above 2**64."""
+    out = []
+    for _ in range(rows):
+        if rng.random() < 0.2:
+            out.append([0] * cols)
+            continue
+        out.append([rng.choice((0, 0, 1, -1, rng.randint(-9, 9),
+                                rng.randint(-2 ** 80, 2 ** 80)))
+                    for _ in range(cols)])
+    return out
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4)]
+
+
+class TestIntMatrixKernel:
+    """Products, columns and transposes against loops over nested lists."""
+
+    def test_apply(self):
+        rng = random.Random(5)
+        for r, c in SHAPES * 10:
+            rows = random_rows(rng, r, c)
+            vec = [rng.randint(-2 ** 70, 2 ** 70) for _ in range(c)]
+            want = tuple(sum(row[k] * vec[k] for k in range(c))
+                         for row in rows)
+            assert IntMatrix(r, c, rows).apply(vec) == want
+        with pytest.raises(ExactAlgebraError):
+            IntMatrix(2, 3, [0] * 6).apply((1, 2))
+
+    def test_product(self):
+        rng = random.Random(6)
+        for r, k in SHAPES * 5:
+            for c in (0, 1, 3):
+                a, b = random_rows(rng, r, k), random_rows(rng, k, c)
+                want = [sum(a[i][t] * b[t][j] for t in range(k))
+                        for i in range(r) for j in range(c)]
+                got = IntMatrix(r, k, a) * IntMatrix(k, c, b)
+                assert (got.rows, got.cols) == (r, c)
+                assert got == IntMatrix(r, c, want)
+        with pytest.raises(ExactAlgebraError):
+            IntMatrix.zeros(2, 3) * IntMatrix.zeros(2, 3)
+
+    def test_columns_and_transpose(self):
+        rng = random.Random(7)
+        for r, c in SHAPES * 10:
+            rows = random_rows(rng, r, c)
+            A = IntMatrix(r, c, rows)
+            for j in range(c):
+                assert A.col(j) == tuple(row[j] for row in rows)
+            assert A.transpose() == IntMatrix(
+                c, r, [rows[i][j] for j in range(c) for i in range(r)])
+            picks = [rng.randrange(c) for _ in range(rng.randint(0, 4))] \
+                if c else []
+            assert A.take_columns(picks) == IntMatrix(
+                r, len(picks), [rows[i][j] for i in range(r) for j in picks])
+
+    @pytest.mark.parametrize("bad", [1.0, Fraction(1), "1"])
+    def test_non_integer_entry_rejected(self, bad):
+        with pytest.raises(ExactAlgebraError, match="non-integer entry"):
+            IntMatrix(1, 1, [bad])
+        with pytest.raises(ExactAlgebraError, match=re.escape(repr(bad))):
+            IntMatrix(2, 2, [[1, 2], [bad, 4]])
+
+
+def full_scan_pivot(m, rows, cols, t):
+    """Reference: every entry of the trailing block is looked at."""
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            if m[i][j] != 0 and (best is None or abs(m[i][j]) < best[0]):
+                best = (abs(m[i][j]), i, j)
+    return best
+
+
+def test_min_pivot_matches_full_scan():
+    rng = random.Random(8)
+    for _ in range(300):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        m = [[rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(c)]
+             for _ in range(r)]
+        t = rng.randint(0, min(r, c))
+        assert _min_pivot(m, r, c, t) == full_scan_pivot(m, r, c, t)
+
+
 class TestSmith:
     def test_empty(self):
         snf = check_smith(IntMatrix(0, 0, []))
@@ -129,6 +218,21 @@ class TestSmith:
             snf = check_smith(A)
             assert snf.rank() == rational_rank(A)
 
+    @pytest.mark.parametrize("rows, diagonal", [
+        ([[2, 4], [6, 9]], (1, 6)),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+    ])
+    def test_divisibility_fixup(self, rows, diagonal):
+        assert check_smith(IntMatrix.from_rows(rows)).diagonal() == diagonal
+
+    def test_simplicial_boundaries(self):
+        # boundary matrices have unit pivots, so the unit-pivot exits run
+        for seed in range(30):
+            C = random_complex(seed, max_facets=6).chain_complex()
+            for d in C.boundaries:
+                snf = check_smith(C.boundary(d))
+                assert set(snf.diagonal()) <= {0, 1}
+
     def test_deterministic(self):
         rng = random.Random(7)
         A = IntMatrix(5, 6, [rng.randint(-9, 9) for _ in range(30)])
@@ -152,6 +256,22 @@ class TestLattices:
             bsnf = smith_normal_form(B)
             for j in range(A.cols):
                 assert solve_exact(B, A.col(j), bsnf) is not None
+
+    def test_lattice_coordinates(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            r = rng.randint(0, 5)
+            c = rng.randint(0, r)
+            B = image_basis(IntMatrix(r, c, random_rows(rng, r, c)))
+            X = IntMatrix(B.cols, 3, [rng.randint(-5, 5)
+                                      for _ in range(3 * B.cols)])
+            assert lattice_coordinates(B, B * X) == X
+        B = IntMatrix.from_rows([[2], [0]])
+        assert lattice_coordinates(B, IntMatrix.from_rows([[4, -2], [0, 0]])) \
+            == IntMatrix.from_rows([[2, -1]])
+        with pytest.raises(ExactAlgebraError, match="column 1 escapes"):
+            lattice_coordinates(B, IntMatrix.from_rows([[2, 1, 0],
+                                                        [0, 0, 1]]))
 
     def test_preimage_lattice(self):
         A = IntMatrix.from_rows([[2, 0], [0, 3]])

@@ -63,6 +63,17 @@ class TestComplexBasics:
         C = K.chain_complex()
         C.verify_d_squared()
 
+    def test_chain_complex_matches_faces(self):
+        for seed in range(20):
+            K = random_complex(seed)
+            C = K.chain_complex()
+            for d in range(K.dim() + 1):
+                assert C.rank(d) == K.n_faces(d) == len(K.faces_of_dim(d))
+            for d in range(1, K.dim() + 1):
+                for j, key in enumerate(K.basis(d)):
+                    assert C.boundary(d).col(j) == K.chain_to_vector(
+                        K.boundary_of_face(key), d - 1)
+
     def test_facets(self):
         K = OrderedSimplicialComplex.from_facets([(0, 1, 2), (2, 3)])
         assert set(map(frozenset, K.facets())) == {
@@ -306,3 +317,9 @@ class TestTextFormat:
             parse_complex("0 1\n1 (\n")
         with pytest.raises(SimplicialError, match="line 3"):
             parse_realization("# coordinates\n0: 0 0\n1.5: 1 0\n")
+
+    def test_bad_coordinate_names_its_line(self):
+        with pytest.raises(SimplicialError, match="line 1.*'\\('"):
+            parse_realization("0: 1 (\n")
+        with pytest.raises(SimplicialError, match="line 2.*'1/0'"):
+            parse_realization("0: 0 0\n1: 1/0 1\n")
