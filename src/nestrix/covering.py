@@ -289,11 +289,9 @@ def find_covering(K: OrderedSimplicialComplex, R: Realization,
                     n, cand, cx, real, carrier, subs, chain_map, strategy)
             attempts.append((n, strategy, report.first()))
     mesh = mesh_sq(K, R)
-    tried = "; ".join(f"n={n} {strategy}: {failure[0]}"
-                      for n, strategy, failure in attempts)
     raise CoveringError(
         f"no compatible covering within subdivision cap {n_cap}; "
-        f"base squared mesh {frac_str(mesh)}; attempts: {tried}; "
+        f"base squared mesh {frac_str(mesh)}; "
         f"last failure: {attempts[-1]!r}", attempts)
 
 

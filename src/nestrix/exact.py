@@ -27,10 +27,12 @@ grows with bit length), for an r x c matrix A:
 * ``smith_normal_form(A)``: each row or column operation touches O(r + c)
   entries of A, U, U^-1 and V (column operations skip zero rows), and a
   clearing pass at a pivot makes up to r + c of them, so the form costs
-  O(min(r, c) * (r + c)^2) when every pivot clears in one pass.  The pivot search stops at
-  the first unit entry and a unit pivot skips the divisibility sweep.
-* ``lattice_coordinates`` solves all columns against one Smith form with
-  two products, U * vectors and V * Y.
+  O(min(r, c) * (r + c)^2) when every pivot clears in one pass.  The pivot
+  search stops at the first unit entry and a unit pivot skips the
+  divisibility sweep.
+* Solving A X = B against A's Smith form (``solve_exact``,
+  ``solve_boundary``, ``lattice_coordinates``) is two products, U * B and
+  V * Y.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class NotACycleError(ExactAlgebraError):
 
 def _axpy(x, q, y):
     """The list x + q * y, entry by entry."""
-    return list(map(operator.add, x, map(operator.mul, y, itertools.repeat(q))))
+    return list(map(operator.add, x,
+                    map(operator.mul, y, itertools.repeat(q))))
 
 
 class IntMatrix:
@@ -237,13 +240,9 @@ class SmithDecomposition:
     V: IntMatrix
     U_inv: IntMatrix
 
-    def __post_init__(self):
-        n = min(self.D.rows, self.D.cols)
-        object.__setattr__(self, "_diagonal",
-                           tuple(self.D.entry(i, i) for i in range(n)))
-
     def diagonal(self):
-        return self._diagonal
+        n = min(self.D.rows, self.D.cols)
+        return tuple(self.D.entry(i, i) for i in range(n))
 
     def rank(self):
         return sum(1 for d in self.diagonal() if d != 0)
@@ -269,13 +268,6 @@ def _min_pivot(m, rows, cols, t):
     return best
 
 
-def _identity_rows(n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form with tracked transforms.
 
@@ -284,9 +276,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """
     rows, cols = A.rows, A.cols
     m = A.rows_list()
-    u = _identity_rows(rows)
-    uinv = _identity_rows(rows)
-    v = _identity_rows(cols)
+    u = IntMatrix.identity(rows).rows_list()
+    uinv = IntMatrix.identity(rows).rows_list()
+    v = IntMatrix.identity(cols).rows_list()
 
     def row_swap(i, k):
         m[i], m[k] = m[k], m[i]
@@ -410,33 +402,44 @@ class NotABoundary:
 
     ``index`` is the Smith pivot position at which divisibility fails (or
     where a nonzero coordinate survives past the rank), and ``value`` /
-    ``divisor`` describe the failing divisibility test.
+    ``divisor`` describe the failing divisibility test.  ``column`` is the
+    right-hand side that fails when several are solved at once.
     """
 
-    def __init__(self, index, value, divisor):
+    def __init__(self, index, value, divisor, column=0):
         self.index = index
         self.value = value
         self.divisor = divisor
+        self.column = column
 
     def __repr__(self):
         return (f"NotABoundary(index={self.index}, value={self.value}, "
                 f"divisor={self.divisor})")
 
 
-def _back_substitute(snf: SmithDecomposition, b, cols):
-    """x with A x = b from A's Smith form, or the NotABoundary that fails."""
-    c = snf.U.apply(b)
+def _back_substitute(snf: SmithDecomposition, B: IntMatrix):
+    """X with A X = B from A's Smith form, or the NotABoundary that fails.
+
+    X = V * (U * B / D), all columns at once.  The certificate is for the
+    lowest failing column, at its lowest failing row.
+    """
+    C = snf.U * B
     diag = snf.diagonal()
-    y = [0] * cols
-    for i, ci in enumerate(c):
+    failures = []
+    Y = []
+    for i in range(C.rows):
+        row = C.row(i)
         d = diag[i] if i < len(diag) else 0
-        if d != 0:
-            if ci % d != 0:
-                return NotABoundary(i, ci, d)
-            y[i] = ci // d
-        elif ci != 0:
-            return NotABoundary(i, ci, 0)
-    return snf.V.apply(y)
+        j = next((j for j, x in enumerate(row) if (x % d if d else x)), None)
+        if j is not None:
+            failures.append((j, i, row[j], d))
+        elif i < snf.V.rows:
+            Y.append([x // d for x in row] if d else row)
+    if failures:
+        j, i, value, d = min(failures)
+        return NotABoundary(i, value, d, column=j)
+    Y.extend([0] * B.cols for _ in range(len(Y), snf.V.rows))
+    return snf.V * IntMatrix(snf.V.rows, B.cols, Y)
 
 
 def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
@@ -448,8 +451,8 @@ def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
         snf = smith_normal_form(A)
     if len(b) != A.rows:
         raise ExactAlgebraError("rhs length mismatch")
-    x = _back_substitute(snf, b, A.cols)
-    return None if isinstance(x, NotABoundary) else x
+    x = _back_substitute(snf, IntMatrix(len(b), 1, b))
+    return None if isinstance(x, NotABoundary) else x.col(0)
 
 
 def lattice_basis(generators: IntMatrix) -> IntMatrix:
@@ -476,24 +479,10 @@ def lattice_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     Every column must lie in the lattice the basis spans.  All columns are
     solved against one Smith form: x = V * (U * vectors / D).
     """
-    snf = smith_normal_form(basis)
-    c = snf.U * vectors
-    diag = snf.diagonal()
-    escaped = set()
-    y = []
-    for i in range(c.rows):
-        ci = c.row(i)
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            y.append(ci)
-            continue
-        escaped.update(j for j, x in enumerate(ci) if (x % d if d else x))
-        if i < basis.cols:
-            y.append([x // d for x in ci] if d else ci)
-    if escaped:
-        raise ExactAlgebraError(f"column {min(escaped)} escapes the lattice")
-    y.extend([0] * vectors.cols for _ in range(len(y), basis.cols))
-    return snf.V * IntMatrix(basis.cols, vectors.cols, y)
+    X = _back_substitute(smith_normal_form(basis), vectors)
+    if isinstance(X, NotABoundary):
+        raise ExactAlgebraError(f"column {X.column} escapes the lattice")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +627,8 @@ def solve_boundary(C: FinChainComplex, c, n: int):
     if any(v != 0 for v in C.boundary(n).apply(c)):
         raise NotACycleError(f"input in degree {n} is not a cycle")
     B = C.boundary(n + 1)
-    return _back_substitute(smith_normal_form(B), c, B.cols)
+    x = _back_substitute(smith_normal_form(B), IntMatrix(len(c), 1, c))
+    return x if isinstance(x, NotABoundary) else x.col(0)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,17 @@ class TestLattices:
         with pytest.raises(ExactAlgebraError, match="column 1 escapes"):
             lattice_coordinates(B, IntMatrix.from_rows([[2, 1, 0],
                                                         [0, 0, 1]]))
+        # the lowest escaping column is named, not the lowest failing row
+        with pytest.raises(ExactAlgebraError, match="column 1 escapes"):
+            lattice_coordinates(B, IntMatrix.from_rows([[2, 0, 1],
+                                                        [0, 1, 0]]))
+
+    def test_solve_exact_empty_shapes(self):
+        assert solve_exact(IntMatrix(0, 2, []), ()) == (0, 0)
+        assert solve_exact(IntMatrix(2, 0, []), (0, 0)) == ()
+        assert solve_exact(IntMatrix(2, 0, []), (0, 1)) is None
+        assert lattice_coordinates(IntMatrix(2, 1, [1, 0]),
+                                   IntMatrix(2, 0, [])) == IntMatrix(1, 0, [])
 
     def test_preimage_lattice(self):
         A = IntMatrix.from_rows([[2, 0], [0, 3]])
