@@ -147,6 +147,10 @@ class CoveringValidation:
         return self.failures[0] if self.failures else None
 
 
+def _face_sort_key(k):
+    return (len(k), tuple(vkey(v) for v in sorted_vs(k)))
+
+
 def _chains_within(complex_, face_set):
     """Strict ascending face chains inside the given face set."""
     face_set = {frozenset(k) for k in face_set}
@@ -161,46 +165,71 @@ def _chains_within(complex_, face_set):
                 rec(chain)
                 chain.pop()
 
-    for k in sorted(face_set, key=lambda k: (len(k), tuple(
-            vkey(v) for v in sorted_vs(k)))):
+    for k in sorted(face_set, key=_face_sort_key):
         rec([k])
     return chains
 
 
-def validate_covering(covering: CompatibleCovering, eta: NestingOracle
+def _settled_faces(covering: CompatibleCovering, checked: CompatibleCovering):
+    """Faces ``checked`` assigns the same (W, t) on the same vertex points."""
+    R, Rc = covering.realization, checked.realization
+    return {key for key, data in checked.assignments.items()
+            if covering.assignments.get(key) == data
+            and all(R.point(v) == Rc.point(v) for v in key)}
+
+
+def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
+                      checked: CompatibleCovering | None = None
                       ) -> CoveringValidation:
-    """All covering conditions, exactly; undecided inclusions fail closed."""
+    """All covering conditions, exactly; undecided inclusions fail closed.
+
+    One membership cache (see ``regions.contains_point``) lives for the
+    length of the call and is dropped with it, so nothing outlives the
+    validation.
+
+    ``checked`` is for a caller that extends a covering which already
+    passed this validation against the same ``eta`` object (the cylinder's
+    lower part).  A face it assigns the same (W, t) on the same vertex
+    points is settled: a face condition on it, a nested pair of two such
+    faces and a chain of such faces each ask exactly the question that
+    ``checked``'s validation answered TRUE, so they are not asked again.
+    Everything that touches another face is checked in full, in the same
+    order, so the failures are those of a full validation.
+    """
     failures = []
+    cache = {}
+    settled = set() if checked is None else _settled_faces(covering, checked)
     cx = covering.complex
     R = covering.realization
-    for key in sorted(covering.faces(), key=lambda k: (len(k), tuple(
-            vkey(v) for v in sorted_vs(k)))):
+    faces = covering.faces()
+    for key in sorted(faces - settled, key=_face_sort_key):
         W, t = covering.assignments[key]
         order = cx.order(key)
         pts = [R.point(v) for v in order]
         if len(order) == 1 and t != pts[0]:
             failures.append(("zero-face-pin", {"face": order}))
-        if not contains_point(W, t):
+        if not contains_point(W, t, cache):
             failures.append(("target-in-set", {"face": order}))
-        res = simplex_in_region(pts, W)
+        res = simplex_in_region(pts, W, cache)
         if res is not Tri.TRUE:
             failures.append(("face-in-set", {"face": order,
                                              "verdict": res.value}))
     # condition ii on nested pairs
-    faces = covering.faces()
     for a in faces:
         for b in faces:
-            if b < a:
-                res = region_contains(covering.W(a), covering.W(b))
+            if b < a and not (a in settled and b in settled):
+                res = region_contains(covering.W(a), covering.W(b), cache)
                 if res is not Tri.TRUE:
                     failures.append(("nested-sets", {
                         "small": cx.order(b), "large": cx.order(a),
                         "verdict": res.value}))
     # condition iii on strict chains
     for chain in _chains_within(cx, faces):
+        if settled.issuperset(chain):
+            continue
         targets = [covering.t(k) for k in chain]
         region = eta.region(targets)
-        res = region_contains(region, covering.W(chain[0]))
+        res = region_contains(region, covering.W(chain[0]), cache)
         if res is not Tri.TRUE:
             failures.append(("chain-region", {
                 "chain": [cx.order(k) for k in chain],
@@ -461,13 +490,20 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
     base-face times full-interval sets, pushes the search through the
     subdivision, and extends over the n-step prism; the two coverings
     agree along the seam and glue.
+
+    The search has validated the lower covering in full against
+    ``probe.q_eta``, so the glued covering is validated against that same
+    oracle object with the lower covering as already checked: only the
+    faces, nested pairs and chains that touch the n-step prism are tested
+    again, which gives the verdict and failures of a full validation.  At
+    depth 0 the probe is the cylinder and is not built a second time.
     """
     probe = mapping_cylinder(k, eta, 0)
     accepted = probe.accepted
     if not accepted.faces:
         res = find_covering(probe.L, probe.L_realization, probe.q_eta,
                             n_cap=n_cap)
-        cyl = mapping_cylinder(k, eta, res.n)
+        cyl = probe if res.n == 0 else mapping_cylinder(k, eta, res.n)
         return res.n, res.covering, cyl
 
     def prism_region(base_face):
@@ -490,7 +526,7 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
     res = find_covering(probe.L, probe.L_realization, probe.q_eta,
                         seed=seed, n_cap=n_cap)
     n = res.n
-    cyl = mapping_cylinder(k, eta, n)
+    cyl = probe if n == 0 else mapping_cylinder(k, eta, n)
 
     # covering of the stacked prism part
     upper_assign = {}
@@ -505,12 +541,9 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
             t = cyl.base_realization.barycenter(
                 cyl.base_complex.order(base_face)) + (bar[-1],)
             upper_assign[key] = (prism_region(base_face), t)
-    lower = CompatibleCovering(res.complex, res.realization,
-                               {key: v for key, v in
-                                res.covering.assignments.items()})
     upper = CompatibleCovering(cyl.Ln, cyl.Ln_realization, upper_assign)
-    glued = glue_coverings(lower, upper)
-    report = validate_covering(glued, cyl.q_eta)
+    glued = glue_coverings(res.covering, upper)
+    report = validate_covering(glued, probe.q_eta, checked=res.covering)
     if not report.passed:
         raise CoveringError(f"cylinder covering invalid: {report.first()!r}")
     # the top copy is pinned at barycenters exactly

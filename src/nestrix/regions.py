@@ -43,20 +43,47 @@ def sqrtsum_leq(a: Fraction, b: Fraction, c: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # affine maps
 
+def _combine(terms, x, offset):
+    """offset + sum of c * x[j] over the (j, c) terms, exactly.
+
+    A coefficient 1 contributes x[j] without a product, and a zero offset
+    adds nothing, so the value equals the dense sum with fewer Fraction
+    operations."""
+    acc = None
+    for j, c in terms:
+        v = x[j] if c == 1 else c * x[j]
+        acc = v if acc is None else acc + v
+    if acc is None:
+        return offset
+    return acc + offset if offset else acc
+
+
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> A x + b over Q, rows x cols rational matrix."""
+    """x -> A x + b over Q, rows x cols rational matrix.
+
+    The nonzero ``(j, c)`` terms of every row and the hash are computed
+    once, at construction; ``apply``, ``transpose_apply`` and ``compose``
+    walk those terms only, so zero coefficients cost nothing and unit ones
+    no product.  Every value is still the exact dense formula's.
+    """
 
     rows: tuple       # tuple of coordinate rows (tuples of Fraction)
     offset: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows",
-                           tuple(tuple(frac(x) for x in r) for r in self.rows))
-        object.__setattr__(self, "offset",
-                           tuple(frac(x) for x in self.offset))
-        if len(self.offset) != len(self.rows):
+        rows = tuple(tuple(frac(x) for x in r) for r in self.rows)
+        offset = tuple(frac(x) for x in self.offset)
+        if len(offset) != len(rows):
             raise RegionError("offset dimension mismatch")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_terms", tuple(
+            tuple((j, c) for j, c in enumerate(r) if c) for r in rows))
+        object.__setattr__(self, "_hash", hash((rows, offset)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def target_dim(self):
@@ -70,18 +97,23 @@ class AffineMap:
         x = tuple(frac(c) for c in x)
         if len(x) != self.source_dim:
             raise RegionError("point dimension mismatch")
-        return tuple(sum(r[j] * x[j] for j in range(len(x))) + o
-                     for r, o in zip(self.rows, self.offset))
+        return tuple(_combine(terms, x, o)
+                     for terms, o in zip(self._terms, self.offset))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner."""
-        rows = tuple(
-            tuple(sum(self.rows[i][k] * inner.rows[k][j]
-                      for k in range(inner.target_dim))
-                  for j in range(inner.source_dim))
-            for i in range(self.target_dim))
+        if self.source_dim != inner.target_dim:
+            raise RegionError("composition dimension mismatch")
+        rows = []
+        for terms in self._terms:
+            # row i of the product is sum over k of A[i][k] * (row k of B)
+            row = [Fraction(0)] * inner.source_dim
+            for k, c in terms:
+                for j, b in inner._terms[k]:
+                    row[j] += b if c == 1 else c * b
+            rows.append(tuple(row))
         offset = self.apply(inner.offset) if inner.rows else self.offset
-        return AffineMap(rows, offset)
+        return AffineMap(tuple(rows), offset)
 
     def rows_orthonormal(self) -> bool:
         cached = getattr(self, "_rows_on", None)
@@ -108,8 +140,13 @@ class AffineMap:
 
     def transpose_apply(self, y):
         y = tuple(frac(c) for c in y)
-        return tuple(sum(self.rows[k][i] * y[k] for k in range(self.target_dim))
-                     for i in range(self.source_dim))
+        if len(y) != self.target_dim:
+            raise RegionError("point dimension mismatch")
+        out = [Fraction(0)] * self.source_dim
+        for terms, yk in zip(self._terms, y):
+            for i, c in terms:
+                out[i] += yk if c == 1 else c * yk
+        return tuple(out)
 
     def descriptor(self):
         return ("affine",
@@ -229,7 +266,13 @@ def intersection(members) -> Region:
 
 
 def sqdist(p, q):
-    return sum((frac(a) - frac(b)) ** 2 for a, b in zip(p, q))
+    if len(p) != len(q):
+        raise RegionError("point dimension mismatch")
+    total = 0
+    for a, b in zip(p, q):
+        d = frac(a) - frac(b)
+        total += d * d
+    return total
 
 
 def is_convex(region: Region) -> bool:
@@ -258,9 +301,16 @@ def is_certainly_empty(region: Region) -> bool:
 # ---------------------------------------------------------------------------
 # membership
 
-def contains_point(region: Region, x) -> bool:
+def contains_point(region: Region, x, cache=None) -> bool:
     """Exact membership.  PL points are coordinate tuples, finite-space
-    points are labels; mixing realms raises."""
+    points are labels; mixing realms raises.
+
+    ``cache``, when given, is a dict the caller owns for the length of one
+    computation.  It keeps the verdicts for ``Polytope`` and
+    ``AffinePreimage`` regions, the two whose test costs more than hashing
+    the ``(region, point)`` key (an LP, a map application).  A verdict is a
+    function of the key alone, so a cached answer is the exact answer.
+    """
     if isinstance(region, Ambient):
         return True
     if isinstance(region, Empty):
@@ -272,11 +322,19 @@ def contains_point(region: Region, x) -> bool:
             raise RegionError("coordinate point tested against a finite open")
         return x in region.points
     if isinstance(region, Intersection):
-        return all(contains_point(m, x) for m in region.members)
-    if isinstance(region, Polytope):
-        return polytope_contains_point(region.vertices, x)
-    if isinstance(region, AffinePreimage):
-        return contains_point(region.inner, region.map.apply(x))
+        return all(contains_point(m, x, cache) for m in region.members)
+    if isinstance(region, (Polytope, AffinePreimage)):
+        key = (region, x)
+        verdict = None if cache is None else cache.get(key)
+        if verdict is None:
+            if isinstance(region, Polytope):
+                verdict = polytope_contains_point(region.vertices, x)
+            else:
+                verdict = contains_point(region.inner, region.map.apply(x),
+                                         cache)
+            if cache is not None:
+                cache[key] = verdict
+        return verdict
     raise RegionError(f"unknown region {region!r}")
 
 
@@ -395,8 +453,11 @@ def ball_in_ball(inner: OpenBall, outer: OpenBall) -> bool:
     return sqrtsum_leq(d, inner.sq_radius, outer.sq_radius)
 
 
-def region_contains(outer: Region, inner: Region) -> Tri:
-    """Is inner a subset of outer?  Sound three-valued rule system."""
+def region_contains(outer: Region, inner: Region, cache=None) -> Tri:
+    """Is inner a subset of outer?  Sound three-valued rule system.
+
+    ``cache`` is handed to every membership test made on the way (see
+    ``contains_point``)."""
     if isinstance(inner, Empty) or inner == outer:
         return Tri.TRUE
     if isinstance(outer, Ambient):
@@ -410,7 +471,7 @@ def region_contains(outer: Region, inner: Region) -> Tri:
     if isinstance(outer, Empty):
         return Tri.FALSE if _certainly_nonempty(inner) else Tri.UNKNOWN
     if isinstance(outer, Intersection):
-        results = [region_contains(m, inner) for m in outer.members]
+        results = [region_contains(m, inner, cache) for m in outer.members]
         if all(r is Tri.TRUE for r in results):
             return Tri.TRUE
         if any(r is Tri.FALSE for r in results):
@@ -421,14 +482,14 @@ def region_contains(outer: Region, inner: Region) -> Tri:
                 set(inner.vertices) <= set(outer.vertices):
             return Tri.TRUE
         if is_convex(outer):
-            ok = all(contains_point(outer, v) for v in inner.vertices)
+            ok = all(contains_point(outer, v, cache) for v in inner.vertices)
             return Tri.TRUE if ok else Tri.FALSE
-        if any(not contains_point(outer, v) for v in inner.vertices):
+        if any(not contains_point(outer, v, cache) for v in inner.vertices):
             return Tri.FALSE
         return Tri.UNKNOWN
     if isinstance(inner, Intersection):
         for m in inner.members:
-            if region_contains(outer, m) is Tri.TRUE:
+            if region_contains(outer, m, cache) is Tri.TRUE:
                 return Tri.TRUE
         if is_certainly_empty(inner):
             return Tri.TRUE
@@ -438,12 +499,12 @@ def region_contains(outer: Region, inner: Region) -> Tri:
             return Tri.TRUE if ball_in_ball(inner, outer) else Tri.FALSE
         if isinstance(outer, AffinePreimage) and outer.map.rows_orthonormal():
             image = OpenBall(outer.map.apply(inner.center), inner.sq_radius)
-            return region_contains(outer.inner, image)
+            return region_contains(outer.inner, image, cache)
         if isinstance(outer, Polytope):
             return Tri.UNKNOWN
     if isinstance(inner, AffinePreimage) and isinstance(outer, AffinePreimage):
         if inner.map == outer.map:
-            return region_contains(outer.inner, inner.inner)
+            return region_contains(outer.inner, inner.inner, cache)
         return Tri.UNKNOWN
     if isinstance(inner, Ambient):
         if isinstance(outer, (OpenBall, Polytope)):
@@ -478,13 +539,14 @@ def _certainly_nonempty(region: Region) -> bool:
     return False
 
 
-def simplex_in_region(points, region: Region) -> Tri:
+def simplex_in_region(points, region: Region, cache=None) -> Tri:
     """Is the closed affine simplex on the given points inside the region?
 
     Complete for convex regions (vertex test); for non-convex regions a
     vertex outside still certifies FALSE, everything else is UNKNOWN.
+    ``cache`` is handed to the vertex tests (see ``contains_point``).
     """
-    outside = [p for p in points if not contains_point(region, p)]
+    outside = [p for p in points if not contains_point(region, p, cache)]
     if outside:
         return Tri.FALSE
     if is_convex(region):

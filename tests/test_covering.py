@@ -1,21 +1,30 @@
 """The small-chain projection and the boundary construction, checked
 against the identities that define them: pi fixes vertices and is a chain
 map, dh + hd = id - pi on every face, pi lands in small chains, and the
-boundary construction returns a small x with dx = d(sigma)."""
+boundary construction returns a small x with dx = d(sigma).  The cylinder's
+glued covering, validated only where it touches the n-step prism, gets the
+verdict and failures of a full validation."""
 
+import collections
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from nestrix import simplicial
+from nestrix import covering, regions, simplicial
 from nestrix.covering import (
+    CompatibleCovering,
     CoveringError,
     boundary_in_small_chains,
+    cylinder_covering,
     delta_complex,
     find_covering,
+    mapping_cylinder,
     small_chain_projection,
+    validate_covering,
 )
 from nestrix.nesting import PLRealm, UniformBallRule, cover_generated
+from nestrix.regions import Polytope
 from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
@@ -115,3 +124,112 @@ def test_boundary_in_small_chains_segment():
     sigma = FormalChain.single(AffineSimplex(points))
     assert chains_equal(x.boundary(), sigma.boundary())
     assert chain_in_c_eta(x, eta) is True
+
+
+TRIANGLE = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+            (Fraction(0), Fraction(1))]
+
+
+def test_cylinder_built_once_at_depth_zero(monkeypatch):
+    calls = []
+    build = covering.mapping_cylinder
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(covering, "mapping_cylinder", counted)
+    eta = ball_nesting(3, Fraction(2))
+    n, glued, cyl = cylinder_covering(2, eta, n_cap=3)
+    assert n == 0 and calls == [(2, eta, 0)]
+    boundary_in_small_chains(TRIANGLE, ball_nesting(2, Fraction(1)), n_cap=3)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    fresh = mapping_cylinder(2, eta, 0)
+    for f in dataclasses.fields(fresh):
+        if f.name == "q_eta":       # a new oracle closure on every build
+            continue
+        got, want = getattr(cyl, f.name), getattr(fresh, f.name)
+        if isinstance(want, simplicial.Realization):
+            got, want = got.coords, want.coords
+        assert got == want, f.name
+    assert validate_covering(glued, fresh.q_eta).passed
+
+
+def glued_validations(monkeypatch, run):
+    """Every validation made with an already-checked lower covering, with
+    its report, while ``run`` executes."""
+    calls = []
+    validate = covering.validate_covering
+
+    def spy(cov, eta, checked=None):
+        report = validate(cov, eta, checked=checked)
+        if checked is not None:
+            calls.append((cov, eta, checked, report))
+        return report
+
+    monkeypatch.setattr(covering, "validate_covering", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def assert_same_report(got, want):
+    assert (got.passed, got.failures) == (want.passed, want.failures)
+
+
+def glued_case(k, sq_radius):
+    if k == "triangle":
+        return lambda: boundary_in_small_chains(
+            TRIANGLE, ball_nesting(2, Fraction(1)), n_cap=3)
+    return lambda: cylinder_covering(k, ball_nesting(k + 1, sq_radius),
+                                     n_cap=3)
+
+
+@pytest.mark.parametrize("k, sq_radius", [
+    (k, r) for k in (1, 2)
+    for r in (Fraction(2), Fraction(1, 2), Fraction(1, 4))
+] + [("triangle", Fraction(1))], ids=str)
+def test_glued_validation_equals_full_validation(monkeypatch, k, sq_radius):
+    ((glued, eta, lower, report),) = glued_validations(
+        monkeypatch, glued_case(k, sq_radius))
+    assert report.passed
+    assert_same_report(report, validate_covering(glued, eta))
+    # a bad covering set on one upper face is still reported
+    upper = sorted(set(glued.assignments) - set(lower.assignments),
+                   key=covering._face_sort_key)
+    face = upper[-1]
+    W, t = glued.assignments[face]
+    far = Polytope((tuple(Fraction(9) for _ in t),))
+    bad = CompatibleCovering(glued.complex, glued.realization,
+                             {**glued.assignments, face: (far, t)})
+    incremental = validate_covering(bad, eta, checked=lower)
+    assert not incremental.passed
+    assert ("target-in-set", {"face": bad.complex.order(face)}) in \
+        incremental.failures
+    assert_same_report(incremental, validate_covering(bad, eta))
+
+
+def test_repeated_projection_does_the_same_work(monkeypatch):
+    counts = collections.Counter()
+    apply = regions.AffineMap.apply
+    lp_feasible = regions._lp_feasible
+
+    def counted_apply(self, x):
+        counts["apply"] += 1
+        return apply(self, x)
+
+    def counted_lp(A, b):
+        counts["lp"] += 1
+        return lp_feasible(A, b)
+
+    monkeypatch.setattr(regions.AffineMap, "apply", counted_apply)
+    monkeypatch.setattr(regions, "_lp_feasible", counted_lp)
+    eta = ball_nesting(3, Fraction(2))
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        small_chain_projection(2, eta, n_cap=3)
+        runs.append(dict(counts))
+    assert runs[0] == runs[1]
+    assert runs[0]["apply"] > 0 and runs[0]["lp"] > 0
