@@ -53,11 +53,16 @@ class OrderingConflict(SimplicialError):
 # vertex ids
 
 def vkey(v):
-    """Total, deterministic sort key over the supported vertex id universe."""
+    """Total, deterministic sort key over the supported vertex id universe.
+
+    Numbers key as themselves: ints and Fractions compare, test equal and
+    hash by value, so ``(0, 1)`` and ``(0, Fraction(1))`` are one key and
+    no Fraction needs to be built for an int id.
+    """
     if isinstance(v, bool):
         raise SimplicialError("bool vertex ids are not supported")
     if isinstance(v, (int, Fraction)):
-        return (0, Fraction(v))
+        return (0, v)
     if isinstance(v, str):
         return (1, v)
     if isinstance(v, tuple):
@@ -85,6 +90,19 @@ def is_level_vertex(v):
 
 def sorted_vs(vertices):
     return tuple(sorted(vertices, key=vkey))
+
+
+def _sorted_faces(faces):
+    """Faces by (size, vkeys of the sorted vertices), each vertex keyed once.
+
+    Sorting a face's keys equals keying its ``sorted_vs`` order, and faces
+    of one dimension share the size, so this is also the order by the key
+    tuple alone.
+    """
+    faces = list(faces)
+    keyed = {v: vkey(v) for v in {v for k in faces for v in k}}
+    return sorted(faces, key=lambda k: (
+        len(k), tuple(sorted([keyed[v] for v in k]))))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +189,10 @@ class OrderedSimplicialComplex:
                       key=vkey)
 
     def faces_of_dim(self, d):
-        return sorted((k for k in self.faces if len(k) == d + 1),
-                      key=lambda k: tuple(vkey(v) for v in sorted_vs(k)))
+        return _sorted_faces(k for k in self.faces if len(k) == d + 1)
 
     def all_faces(self):
-        return sorted(self.faces, key=lambda k: (len(k), tuple(
-            vkey(v) for v in sorted_vs(k))))
+        return _sorted_faces(self.faces)
 
     def facets(self):
         non_maximal = set()
@@ -184,9 +200,7 @@ class OrderedSimplicialComplex:
             if len(order) > 1:
                 for i in range(len(order)):
                     non_maximal.add(frozenset(order[:i] + order[i + 1:]))
-        out = [k for k in self.faces if k not in non_maximal]
-        return sorted(out, key=lambda k: (len(k), tuple(
-            vkey(v) for v in sorted_vs(k))))
+        return _sorted_faces(k for k in self.faces if k not in non_maximal)
 
     def n_faces(self, d):
         return sum(1 for k in self.faces if len(k) == d + 1)
@@ -362,6 +376,8 @@ class Realization:
         return tuple(sum(c[i] for c in pts) / n for i in range(len(pts[0])))
 
     def sqdist(self, p, q):
+        if len(p) != len(q):
+            raise SimplicialError("point dimension mismatch")
         return sum((a - b) ** 2 for a, b in zip(p, q))
 
     def extended_to(self, complex_):
@@ -621,41 +637,64 @@ def mesh_sq(K: OrderedSimplicialComplex, R: Realization) -> Fraction:
     return best
 
 
+def _sq_mesh(pts):
+    """Largest squared distance between two of the integer points."""
+    return max((sum((a - b) ** 2 for a, b in zip(p, q))
+                for p, q in itertools.combinations(pts, 2)), default=0)
+
+
 def iterated_mesh_sq(points, n) -> Fraction:
     """mesh_sq of the n-fold subdivision of the simplex on ``points``.
 
-    Runs on scaled integer coordinates without materializing the complex,
-    so deep subdivisions stay tractable.
+    Walks the subdivision tree depth first on scaled integer coordinates,
+    without materializing the complex.  A node's children, one per vertex
+    ordering, are its prefix barycenters scaled by L = lcm(1..k+1), so every
+    leaf has the scale denom * L**n and leaves compare as integers.
+
+    The walk prunes with the contraction lemma (Hatcher, *Algebraic
+    Topology*, proof of Prop. 2.21): every simplex of S(sigma) has diameter
+    at most k/(k+1) diam(sigma), degenerate sigma included.  In the child's
+    scale that makes a child's squared mesh at most c**2 times its
+    parent's, with c = L*k/(k+1) an integer because k+1 divides L.  So no
+    leaf r levels below a node of squared mesh m exceeds m * c**(2r).  A
+    node whose bound is <= the best leaf so far cannot raise the maximum,
+    so skipping it leaves the answer exact.  Children are pushed in
+    ascending mesh order, so the largest is expanded first.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise SimplicialError(
+            f"subdivision depth must be an int >= 0, got {n!r}")
     pts = [tuple(frac(c) for c in p) for p in points]
+    if not pts:
+        raise SimplicialError("iterated_mesh_sq needs at least one point")
+    if len({len(p) for p in pts}) > 1:
+        raise SimplicialError("point dimension mismatch")
     denom = math.lcm(*(c.denominator for p in pts for c in p))
-    scaled = [tuple(int(c * denom) for c in p) for p in pts]
+    scaled = tuple(tuple(int(c * denom) for c in p) for p in pts)
+    k = len(pts) - 1
+    L = math.lcm(*range(1, k + 2))
+    bound = [(L * k // (k + 1)) ** (2 * r) for r in range(n + 1)]
     best = 0
-    total_scale = denom
-    stack = [(tuple(scaled), n, denom)]
+    stack = [(_sq_mesh(scaled), scaled, n)]
     while stack:
-        cur, depth, scale = stack.pop()
-        if depth == 0:
-            for i in range(len(cur)):
-                for j in range(i + 1, len(cur)):
-                    d = sum((a - b) ** 2 for a, b in zip(cur[i], cur[j]))
-                    # compare d/scale^2 against best/total_scale^2
-                    if d * total_scale ** 2 > best * scale ** 2:
-                        best = d
-                        total_scale = scale
+        m, cur, r = stack.pop()
+        if m * bound[r] <= best:
             continue
-        k = len(cur) - 1
-        L = math.lcm(*range(1, k + 2))
-        for perm in itertools.permutations(range(k + 1)):
-            acc = tuple(0 for _ in cur[0])
+        if r == 0:
+            best = m
+            continue
+        children = []
+        for perm in itertools.permutations(cur):
+            acc = (0,) * len(perm[0])
             fac = []
-            for m, i in enumerate(perm, start=1):
-                acc = tuple(a + b for a, b in zip(acc, cur[i]))
-                mult = L // m
-                # prefix barycenter at scale scale*L
-                fac.append(tuple(a * mult for a in acc))
-            stack.append((tuple(fac), depth - 1, scale * L))
-    return Fraction(best, total_scale ** 2)
+            for j, p in enumerate(perm, start=1):
+                acc = tuple(a + b for a, b in zip(acc, p))
+                # prefix barycenter of the first j points, times L
+                fac.append(tuple(a * (L // j) for a in acc))
+            children.append((_sq_mesh(fac), tuple(fac), r - 1))
+        children.sort(key=lambda child: child[0])
+        stack.extend(children)
+    return Fraction(best, (denom * L ** n) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from nestrix.simplicial import (
     subdivide,
     t_complex,
     t_n_complex,
+    vkey,
 )
 
 
@@ -291,13 +293,168 @@ class TestMesh:
 
     @pytest.mark.slow
     def test_iterated_contraction_deep(self):
-        # k = 3, n = 4 is the largest configured case
+        # k = 3, n = 4 is the largest configured case; the enumeration
+        # checks every n <= 3 and the contraction bound covers n = 4
         pts = [tuple(Fraction(1 if j == i else 0) for j in range(4))
                for i in range(4)]
         base = Fraction(2)
         ratio = Fraction(3, 4) ** 2
         for n in range(1, 5):
-            assert iterated_mesh_sq(pts, n) <= ratio ** n * base
+            value = iterated_mesh_sq(pts, n)
+            if n <= 3:
+                assert value == exhaustive_mesh_sq(pts, n)
+            assert value <= ratio ** n * base
+
+    @pytest.mark.parametrize("k,n_max", [(0, 6), (1, 6), (2, 4), (3, 2)])
+    def test_pruned_equals_exhaustive(self, k, n_max):
+        rng = random.Random(7 + k)
+        for _ in range(12):
+            pts = _random_simplex(rng, k, rng.randint(1, 4))
+            for n in range(n_max + 1):
+                assert iterated_mesh_sq(pts, n) == \
+                    exhaustive_mesh_sq(pts, n), (pts, n)
+
+    def test_pruned_equals_exhaustive_k3_depth3(self):
+        rng = random.Random(3)
+        for _ in range(2):
+            pts = _random_simplex(rng, 3, rng.randint(2, 4))
+            assert iterated_mesh_sq(pts, 3) == exhaustive_mesh_sq(pts, 3)
+
+    @pytest.mark.slow
+    def test_pruned_equals_exhaustive_benchmark_triangle(self):
+        pts = ((0, 0), (1, 0), (0, 1))
+        for n in range(8):
+            assert iterated_mesh_sq(pts, n) == exhaustive_mesh_sq(pts, n)
+
+    @pytest.mark.parametrize("points,n", [
+        ([(0, 0), (1, 0, 5)], 1),
+        ([(0, 0), (3,)], 0),
+        ([], 0),
+        ([(0, 0), (1, 0)], -1),
+        ([(0, 0), (1, 0)], 1.5),
+        ([(0, 0), (1, 0)], Fraction(1)),
+        ([(0, 0), (1, 0)], True),
+    ])
+    def test_iterated_mesh_rejects_bad_input(self, points, n):
+        with pytest.raises(SimplicialError):
+            iterated_mesh_sq(points, n)
+
+    def test_realization_sqdist_rejects_dimension_mismatch(self):
+        R = Realization({0: (0, 0)})
+        assert R.sqdist((0, 0), (3, 4)) == 25
+        with pytest.raises(SimplicialError, match="dimension"):
+            R.sqdist((0, 0), (0, 0, 5))
+        with pytest.raises(SimplicialError, match="dimension"):
+            R.sqdist((0, 0, 5), (0, 0))
+
+
+def exhaustive_mesh_sq(points, n):
+    """Reference: mesh of S^n by enumerating all ((k+1)!)^n leaf simplices
+    on scaled integer coordinates, with no pruning."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    denom = math.lcm(*(c.denominator for p in pts for c in p))
+    scaled = [tuple(int(c * denom) for c in p) for p in pts]
+    best = 0
+    total_scale = denom
+    stack = [(tuple(scaled), n, denom)]
+    while stack:
+        cur, depth, scale = stack.pop()
+        if depth == 0:
+            for i in range(len(cur)):
+                for j in range(i + 1, len(cur)):
+                    d = sum((a - b) ** 2 for a, b in zip(cur[i], cur[j]))
+                    if d * total_scale ** 2 > best * scale ** 2:
+                        best = d
+                        total_scale = scale
+            continue
+        k = len(cur) - 1
+        L = math.lcm(*range(1, k + 2))
+        for perm in itertools.permutations(range(k + 1)):
+            acc = tuple(0 for _ in cur[0])
+            fac = []
+            for m, i in enumerate(perm, start=1):
+                acc = tuple(a + b for a, b in zip(acc, cur[i]))
+                fac.append(tuple(a * (L // m) for a in acc))
+            stack.append((tuple(fac), depth - 1, scale * L))
+    return Fraction(best, total_scale ** 2)
+
+
+def _random_simplex(rng, k, dim):
+    """k+1 rational points, some negative; may repeat a point or put three
+    on a line."""
+    def point():
+        return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                     for _ in range(dim))
+
+    pts = [point()]
+    while len(pts) < k + 1:
+        roll = rng.random()
+        if roll < 0.15:
+            pts.append(rng.choice(pts))
+        elif roll < 0.3 and len(pts) >= 2:
+            p, q = rng.sample(pts, 2)
+            t = Fraction(rng.randint(-3, 5), rng.randint(1, 3))
+            pts.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+        else:
+            pts.append(point())
+    rng.shuffle(pts)
+    return pts
+
+
+def old_vkey(v):
+    """The sort key before numbers keyed as themselves: (0, Fraction(v))."""
+    if isinstance(v, (int, Fraction)):
+        return (0, Fraction(v))
+    if isinstance(v, str):
+        return (1, v)
+    return (2, tuple(old_vkey(x) for x in v))
+
+
+def old_face_key(k):
+    return (len(k), tuple(old_vkey(v) for v in sorted(k, key=old_vkey)))
+
+
+class TestSortOrder:
+    def test_mixed_ids_sort_as_before(self):
+        ids = [3, -1, Fraction(1, 2), Fraction(-7, 3), 0, "a", "B", "b",
+               ("b", (0, 1)), ("b", (Fraction(1, 2), "a")), ("b", (0,)),
+               (0, Fraction(0)), (0, Fraction(1)), (Fraction(1, 2), 1),
+               (("b", (0, 1)), Fraction(1, 3)), ("a", 2), 10, Fraction(9)]
+        rng = random.Random(0)
+        for _ in range(20):
+            rng.shuffle(ids)
+            assert sorted(ids, key=vkey) == sorted(ids, key=old_vkey)
+
+    def test_numbers_key_alike(self):
+        assert vkey(1) == vkey(Fraction(1))
+        assert hash(vkey(1)) == hash(vkey(Fraction(1)))
+        assert hash(vkey((1, 2))) == hash(vkey((Fraction(1), Fraction(2))))
+        assert vkey(1) < vkey(Fraction(3, 2)) < vkey(2) < vkey("a")
+        with pytest.raises(SimplicialError, match="bool"):
+            vkey(True)
+        with pytest.raises(SimplicialError, match="bool"):
+            vkey((0, False))
+
+    def test_face_orders_as_before(self):
+        # dimension <= 2 keeps the old key's Fraction comparisons cheap;
+        # S(D3) and T_2(D2) bring deeper barycenter and level ids
+        complexes = []
+        for seed in range(50):
+            K = random_complex(seed, max_dim=2)
+            complexes.append(K)
+            complexes.append(iterate_subdivide(K, 2)[0][-1].complex)
+        complexes.append(subdivide(delta(3)).complex)
+        complexes.append(t_n_complex(delta(2), 2)[0])
+        for K in complexes:
+            # the old key leads with the size, so one sort by it gives the
+            # old order of every dimension and of the facets as sublists
+            old = sorted(K.faces, key=old_face_key)
+            assert K.all_faces() == old
+            for d in range(K.dim() + 1):
+                assert K.faces_of_dim(d) == [k for k in old if len(k) == d + 1]
+            non_maximal = {k - {v} for k in K.faces if len(k) > 1
+                           for v in k}
+            assert K.facets() == [k for k in old if k not in non_maximal]
 
 
 class TestTextFormat:
