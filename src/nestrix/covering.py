@@ -48,7 +48,8 @@ from .simplicial import (
     OrderedSimplicialComplex,
     Realization,
     SimplicialChainMap,
-    chain_add,
+    add_into,
+    check_depth,
     is_bvertex,
     is_level_vertex,
     iterate_subdivide,
@@ -56,7 +57,7 @@ from .simplicial import (
     mesh_sq,
     prism_complex,
     resolve_vertex,
-    sorted_vs,
+    sorted_faces,
     subdivision_levels,
     t_n_complex,
     vkey,
@@ -64,9 +65,9 @@ from .simplicial import (
 from .symbolic import (
     AffineSimplex,
     FormalChain,
-    chains_equal,
     cone_simplex,
     deformed,
+    pushforward,
 )
 
 # largest simplex dimension the cylinder and projection constructions take
@@ -147,10 +148,6 @@ class CoveringValidation:
         return self.failures[0] if self.failures else None
 
 
-def _face_sort_key(k):
-    return (len(k), tuple(vkey(v) for v in sorted_vs(k)))
-
-
 def _chains_within(complex_, face_set):
     """Strict ascending face chains inside the given face set."""
     face_set = {frozenset(k) for k in face_set}
@@ -165,7 +162,7 @@ def _chains_within(complex_, face_set):
                 rec(chain)
                 chain.pop()
 
-    for k in sorted(face_set, key=_face_sort_key):
+    for k in sorted_faces(face_set):
         rec([k])
     return chains
 
@@ -202,7 +199,7 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
     cx = covering.complex
     R = covering.realization
     faces = covering.faces()
-    for key in sorted(faces - settled, key=_face_sort_key):
+    for key in sorted_faces(faces - settled):
         W, t = covering.assignments[key]
         order = cx.order(key)
         pts = [R.point(v) for v in order]
@@ -295,6 +292,7 @@ def find_covering(K: OrderedSimplicialComplex, R: Realization,
     the identity there) and at the lead vertex otherwise.  Faces whose
     carrier lies in the seed inherit the seed data unchanged.
     """
+    check_depth(n_cap, "subdivision cap n_cap", CoveringError)
     if seed is not None:
         for k in seed.faces():
             if k not in K.faces:
@@ -322,19 +320,6 @@ def find_covering(K: OrderedSimplicialComplex, R: Realization,
         f"no compatible covering within subdivision cap {n_cap}; "
         f"base squared mesh {frac_str(mesh)}; "
         f"last failure: {attempts[-1]!r}", attempts)
-
-
-# ---------------------------------------------------------------------------
-# the deformation chain map
-
-def deformation_map(covering: CompatibleCovering):
-    """Face -> formal chain of the covering's deformation; structurally a
-    chain map since formal faces of a deformed face are the deformed
-    subfaces."""
-    def delta(face_key):
-        return FormalChain.single(deformed(covering, face_key))
-
-    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +356,8 @@ class MappingCylinder:
 
 
 def _accepted_subcomplex(K, R, eta):
-    keys = [k for k in K.all_faces() if face_in_c_eta(K, R, k, eta)]
-    if not keys:
-        return OrderedSimplicialComplex({}, check=False)
-    return K.subcomplex(keys)
+    return K.subcomplex(
+        [k for k in K.all_faces() if face_in_c_eta(K, R, k, eta)])
 
 
 def _coordinate_bijection(cx_a, real_a, cx_b, real_b):
@@ -394,6 +377,7 @@ def _coordinate_bijection(cx_a, real_a, cx_b, real_b):
 def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
     """Glue the simplex to a prism over its small-chain subcomplex, then
     subdivide n times and stack the n-step prism on [1, 2]."""
+    check_depth(n, error=CoveringError)
     if k > K_CAP:
         raise CoveringError(f"simplex dimension {k} exceeds cap {K_CAP}")
     base, base_real = delta_complex(k)
@@ -418,19 +402,14 @@ def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
 
     tn_values = {}
     seam_faces = set()
-    if accepted.faces and n >= 0:
-        TnK, Tn, _ = t_n_complex(accepted, max(n, 1), 1, 2) if n >= 1 else (None, None, None)
+    if accepted.faces:
         if n == 0:
             # T_0 is the degenerate cylinder: glue the plain prism on [1, 2]
-            TnK, TnMap = prism_complex(accepted, 1, 2)
-            tn_raw = TnMap.values
+            TnK, Tn = prism_complex(accepted, 1, 2)
         else:
-            tn_raw = Tn.values
+            TnK, Tn, _ = t_n_complex(accepted, n, 1, 2)
         seam_b = level_subcomplex(TnK, 1)
-        seam_a_keys = [key for key in Ln.faces
-                       if all(Ln_real.point(v)[-1] == 1 for v in key)]
-        seam_a = Ln.subcomplex(seam_a_keys) if seam_a_keys else \
-            OrderedSimplicialComplex({}, check=False)
+        seam_a = Ln.restrict_vertices(lambda v: Ln_real.point(v)[-1] == 1)
         # realize the T_n part: vertices are (w, level) pairs over the
         # accepted subcomplex; resolve through the base coordinates
         tn_real = Realization({v: resolve_vertex(v, base_coords)
@@ -452,7 +431,7 @@ def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
         Ln = Ln.union(TnR)
         Ln_real = Realization({v: resolve_vertex(v, base_coords)
                                for key in Ln.faces for v in key})
-        for key, chain in tn_raw.items():
+        for key, chain in Tn.values.items():
             tn_values[key] = {frozenset(rename(v) for v in kk): c
                               for kk, c in chain.items()}
 
@@ -498,6 +477,7 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
     again, which gives the verdict and failures of a full validation.  At
     depth 0 the probe is the cylinder and is not built a second time.
     """
+    check_depth(n_cap, "subdivision cap n_cap", CoveringError)
     probe = mapping_cylinder(k, eta, 0)
     accepted = probe.accepted
     if not accepted.faces:
@@ -583,17 +563,11 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
     deterministic cone fillers.
     """
     n, covering, cyl = cylinder_covering(k, eta, n_cap)
-    delta = deformation_map(covering)
-    q = cyl.q
-
-    def delta_prime(face_key):
-        return delta(face_key).push(q)
 
     def delta_prime_chain(chain):
-        out = FormalChain.zero(None)
-        for key, c in chain.items():
-            out = out.add(delta_prime(frozenset(key)), c)
-        return out
+        # the covering's deformation, then the projection q off the cylinder
+        return FormalChain.image(
+            chain, lambda key: pushforward(cyl.q, deformed(covering, key)))
 
     # pi = delta' o S^n o (level-0 inclusion)
     pi = {}
@@ -605,33 +579,24 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
     # h0 = delta' o (S^n P - T_n) on accepted faces
     h0 = {}
     for key in cyl.accepted.faces:
-        p_chain = cyl.prism_homotopy[key]
-        snp = {}
-        for kk, c in p_chain.items():
-            snp = chain_add(snp, cyl.sub_chain_map.values[frozenset(kk)], c)
-        combo = chain_add(snp, cyl.tn_homotopy[key], -1)
-        h0[key] = delta_prime_chain(combo)
+        snp = cyl.sub_chain_map.apply(cyl.prism_homotopy[key])
+        h0[key] = delta_prime_chain(add_into(snp, cyl.tn_homotopy[key], -1))
 
     # extension over the remaining faces by cone fillers
     h = dict(h0)
     apex = cyl.base_realization.point(0)
-    for key in sorted(cyl.base_complex.all_faces(), key=len):
+    for key in cyl.base_complex.all_faces():
         if key in h:
             continue
         order = cyl.base_complex.order(key)
-        target = FormalChain.single(AffineSimplex(
-            [cyl.base_realization.point(v) for v in order]))
-        target = target.add(pi[key], -1)
+        target = {AffineSimplex(
+            [cyl.base_realization.point(v) for v in order]): 1}
+        add_into(target, pi[key].terms, -1)
         for sub, c in cyl.base_complex.boundary_of_face(key).items():
-            target = target.add(h[frozenset(sub)], -c)
-        if not target.boundary().is_zero():
+            add_into(target, h[sub].terms, -c)
+        if not FormalChain(target).boundary().is_zero():
             raise CoveringError("homotopy extension target is not a cycle")
-        if target.is_zero():
-            h[key] = FormalChain.zero(target.dim + 1 if target.dim is not None
-                                      else None)
-        else:
-            h[key] = target.map(lambda s: FormalChain.single(
-                cone_simplex(apex, s)))
+        h[key] = FormalChain.image(target, lambda s: cone_simplex(apex, s))
     return ProjectionData(k=k, eta=eta, n=n, cyl=cyl, covering=covering,
                           pi=pi, h0=h0, h=h)
 
@@ -643,6 +608,7 @@ def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6):
     Realizes the step-2 shape: push pi(top) + h(boundary) forward along
     the simplex's affine parameterization.
     """
+    check_depth(n_cap, "subdivision cap n_cap", CoveringError)
     pts = [tuple(frac(c) for c in p) for p in points]
     k = len(pts) - 1
     for i in range(k + 1):
@@ -657,11 +623,11 @@ def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6):
     back = pullback(f, eta)
     data = small_chain_projection(k, back, n_cap)
     top = frozenset(range(k + 1))
-    x = data.pi[top]
+    x = dict(data.pi[top].terms)
     for sub, c in data.cyl.base_complex.boundary_of_face(top).items():
-        x = x.add(data.h[frozenset(sub)], c)
-    x = x.push(f)
+        add_into(x, data.h[sub].terms, c)
+    x = FormalChain(x).push(f)
     want = FormalChain.single(AffineSimplex(pts)).boundary()
-    if not chains_equal(x.boundary(), want):
+    if x.boundary() != want:
         raise CoveringError("boundary identity failed (internal)")
     return x

@@ -21,6 +21,7 @@ from .simplicial import (
     OrderedSimplicialComplex,
     content_lines,
     parse_token,
+    sorted_faces,
     vkey,
 )
 
@@ -110,9 +111,7 @@ class FiniteSpace:
         return frozenset(s) in self.opens
 
     def opens_sorted(self):
-        return sorted(self.opens,
-                      key=lambda o: (len(o), tuple(vkey(v) for v in
-                                                   sorted(o, key=vkey))))
+        return sorted_faces(self.opens)
 
     def minimal_opens(self):
         if self._min_open is None:
@@ -170,8 +169,7 @@ class FiniteSpace:
                                if mask & (1 << i))
             if self.is_connected_subset(subset):
                 out.append(subset)
-        return sorted(out, key=lambda s: (len(s), tuple(
-            vkey(v) for v in sorted(s, key=vkey))))
+        return sorted_faces(out)
 
     def components(self, subset=None):
         if subset is None:

@@ -200,14 +200,16 @@ class NestingOracle:
     _memo: dict = field(default_factory=dict)
 
     def region(self, points) -> Region:
+        """eta at a point sequence, evaluated once per distinct sequence.
+
+        The points must be hashable: coordinate tuples in a PL realm,
+        point names in a finite one.  The memo lives on the oracle.
+        """
         seq = tuple(points)
-        if isinstance(self.realm, FiniteRealm):
-            if seq in self._memo:
-                return self._memo[seq]
-            out = self._eval(seq)
-            self._memo[seq] = out
-            return out
-        return self._eval(seq)
+        out = self._memo.get(seq)
+        if out is None:
+            out = self._memo[seq] = self._eval(seq)
+        return out
 
     def key(self):
         return ("nesting", self.provenance, self.descriptor)
@@ -634,11 +636,7 @@ def subdivision_retraction(K: OrderedSimplicialComplex, R: Realization,
         if ok:
             return n
         res = subdivide(cur_K)
-        new_chain = {}
-        for key, c in cur_chain.items():
-            for k2, c2 in res.chain_map.values[key].items():
-                new_chain[k2] = new_chain.get(k2, 0) + c * c2
-        cur_chain = {k: c for k, c in new_chain.items() if c}
+        cur_chain = res.chain_map.apply(cur_chain)
         cur_K = res.complex
         cur_R = cur_R.extended_to(cur_K)
     raise NestingError(

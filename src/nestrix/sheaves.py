@@ -38,7 +38,7 @@ from .exact import (
     ZCOEFF,
 )
 from .finite_space import FiniteSpace, example03_space
-from .simplicial import vkey
+from .simplicial import sorted_faces, vkey
 
 # largest degree and point count the Godement pipeline takes
 GODEMENT_DEGREE_CAP = 3
@@ -401,8 +401,7 @@ def _antichain_covers(space, U, cap):
         key = frozenset(c)
         if key not in seen:
             seen.add(key)
-            covers.append(sorted(key, key=lambda o: (len(o), tuple(
-                vkey(v) for v in sorted(o, key=vkey)))))
+            covers.append(sorted_faces(key))
     return covers
 
 

@@ -13,6 +13,11 @@ On top of that this module provides the chain-level operators:
   subdivided once / n times) with its chain homotopy,
 * ``mesh_sq``        -- exact squared facet-diameter bounds.
 
+Chains are dicts generator -> nonzero int.  Every sum of chains goes
+through one in-place accumulator, ``add_into``, and every linear extension
+of per-generator chains through ``linear_image``; ``symbolic.FormalChain``
+keeps its terms the same way.
+
 Vertex ids may be ints, strings, Fractions, or nested tuples of those.
 Two tuple shapes are reserved: ``("b", ids)`` for barycenter vertices
 created by subdivision and ``(v, level)`` for product-complex vertices.
@@ -92,12 +97,14 @@ def sorted_vs(vertices):
     return tuple(sorted(vertices, key=vkey))
 
 
-def _sorted_faces(faces):
+def sorted_faces(faces):
     """Faces by (size, vkeys of the sorted vertices), each vertex keyed once.
 
-    Sorting a face's keys equals keying its ``sorted_vs`` order, and faces
-    of one dimension share the size, so this is also the order by the key
-    tuple alone.
+    This is the one face order of the package: complexes, covering
+    validation, the opens and connected subsets of finite spaces and the
+    covers of sheaf gluing all sort with it.  Sorting a face's keys equals
+    keying its ``sorted_vs`` order, and faces of one dimension share the
+    size, so this is also the order by the key tuple alone.
     """
     faces = list(faces)
     keyed = {v: vkey(v) for v in {v for k in faces for v in k}}
@@ -106,15 +113,33 @@ def _sorted_faces(faces):
 
 
 # ---------------------------------------------------------------------------
-# chains: dict face-key -> int
+# chains: dict generator -> int
+
+def add_into(out, chain, scale=1):
+    """out += scale * chain in place, dropping zero coefficients; returns out.
+
+    The one chain accumulator.  Keys are any hashable generators: faces of
+    a complex or symbolic simplices.
+    """
+    for k, c in chain.items():
+        c = out.get(k, 0) + scale * c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
+
+
+def linear_image(chain, image):
+    """sum of c * image(k) over the chain {k: c}, built in one dict."""
+    out = {}
+    for k, c in chain.items():
+        add_into(out, image(k), c)
+    return out
+
 
 def chain_add(a, b, scale=1):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + scale * c
-        if out[k] == 0:
-            del out[k]
-    return out
+    return add_into(dict(a), b, scale)
 
 
 def chain_eq(a, b):
@@ -189,10 +214,10 @@ class OrderedSimplicialComplex:
                       key=vkey)
 
     def faces_of_dim(self, d):
-        return _sorted_faces(k for k in self.faces if len(k) == d + 1)
+        return sorted_faces(k for k in self.faces if len(k) == d + 1)
 
     def all_faces(self):
-        return _sorted_faces(self.faces)
+        return sorted_faces(self.faces)
 
     def facets(self):
         non_maximal = set()
@@ -200,7 +225,7 @@ class OrderedSimplicialComplex:
             if len(order) > 1:
                 for i in range(len(order)):
                     non_maximal.add(frozenset(order[:i] + order[i + 1:]))
-        return _sorted_faces(k for k in self.faces if k not in non_maximal)
+        return sorted_faces(k for k in self.faces if k not in non_maximal)
 
     def n_faces(self, d):
         return sum(1 for k in self.faces if len(k) == d + 1)
@@ -218,10 +243,7 @@ class OrderedSimplicialComplex:
         return {k: c for k, c in out.items() if c}
 
     def boundary_chain(self, chain):
-        out = {}
-        for key, c in chain.items():
-            out = chain_add(out, self.boundary_of_face(key), c)
-        return out
+        return linear_image(chain, self.boundary_of_face)
 
     def basis(self, d):
         return self.faces_of_dim(d)
@@ -275,10 +297,8 @@ class OrderedSimplicialComplex:
         return OrderedSimplicialComplex(faces, check=False)
 
     def restrict_vertices(self, predicate):
-        keys = [k for k in self.faces if all(predicate(v) for v in k)]
-        if not keys:
-            return OrderedSimplicialComplex({}, check=False)
-        return self.subcomplex(keys)
+        return self.subcomplex(
+            [k for k in self.faces if all(predicate(v) for v in k)])
 
     def relabel(self, fn):
         faces = {}
@@ -319,10 +339,7 @@ class SimplicialChainMap:
     values: dict
 
     def apply(self, chain):
-        out = {}
-        for key, c in chain.items():
-            out = chain_add(out, self.values[frozenset(key)], c)
-        return out
+        return linear_image(chain, lambda key: self.values[frozenset(key)])
 
     def verify_chain_map(self):
         if self.degree_shift != 0:
@@ -339,7 +356,7 @@ class SimplicialChainMap:
             raise SimplicialError("not a degree +1 homotopy")
         for key in self.source.faces:
             lhs = self.target.boundary_chain(self.values[key])
-            lhs = chain_add(lhs, self.apply(self.source.boundary_of_face(key)))
+            add_into(lhs, self.apply(self.source.boundary_of_face(key)))
             rhs = chain_add(f(key), g(key), -1)
             if not chain_eq(lhs, rhs):
                 raise SimplicialError(f"homotopy identity fails at {set(key)!r}")
@@ -466,8 +483,15 @@ def subdivision_levels(K):
         results.append(res)
 
 
+def check_depth(n, what="subdivision depth", error=SimplicialError):
+    """Raise ``error`` unless n is an int >= 0; bools are rejected too."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise error(f"{what} must be an int >= 0, got {n!r}")
+
+
 def iterate_subdivide(K, n):
     """n-fold subdivision: (list of complexes, composed chain map, carrier)."""
+    check_depth(n)
     return next(itertools.islice(subdivision_levels(K), n, None))
 
 
@@ -574,9 +598,9 @@ def t_complex(K, a=0, b=1):
     values = {}
     for key in K.all_faces():
         d = len(key) - 1
-        rhs = chain_add(i_a(sub.chain_map.values[key]), i_b({key: 1}), -1)
+        rhs = add_into(i_a(sub.chain_map.values[key]), i_b({key: 1}), -1)
         for skey, c in K.boundary_of_face(key).items():
-            rhs = chain_add(rhs, values[skey], -c)
+            add_into(rhs, values[skey], -c)
         piece = TK.subcomplex([frozenset(f) for f in memo[key]])
         values[key] = _solve_chain(piece, rhs, d)
     T = SimplicialChainMap(K, TK, 1, values)
@@ -613,7 +637,7 @@ def t_n_complex(K, n, a=0, b=1):
         acc = {}
         for i in range(n):
             # chain currently lives in S^i(K)
-            acc = chain_add(acc, piece_maps[i].apply(chain))
+            add_into(acc, piece_maps[i].apply(chain))
             if i < n - 1:
                 chain = subs[i].chain_map.apply(chain)
         values[key] = acc
@@ -661,9 +685,7 @@ def iterated_mesh_sq(points, n) -> Fraction:
     so skipping it leaves the answer exact.  Children are pushed in
     ascending mesh order, so the largest is expanded first.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise SimplicialError(
-            f"subdivision depth must be an int >= 0, got {n!r}")
+    check_depth(n)
     pts = [tuple(frac(c) for c in p) for p in points]
     if not pts:
         raise SimplicialError("iterated_mesh_sq needs at least one point")

@@ -13,11 +13,13 @@ any rational barycentric parameter:
 * ``ConeSimplex``    -- the cone with a fixed rational apex.
 
 Formal faces are again symbolic simplices with canonical keys, so formal
-boundaries cancel structurally; chains are dictionaries keyed by those
-canonical keys.  Small-chain membership of a symbolic simplex is decided
-through certificates: affine pieces by exact vertex tests, deformed
-pieces through their covering sets, pushforwards by pulling the region
-back.  An undecided containment fails closed.
+boundaries cancel structurally.  A ``FormalChain`` is a thin layer over a
+dict simplex -> int: its terms are summed by ``simplicial.add_into``, the
+one chain accumulator, and ``FormalChain.image`` is the linear extension
+of a map sending each generator to one simplex.  Small-chain membership of
+a symbolic simplex is decided through certificates: affine pieces by exact
+vertex tests, deformed pieces through their covering sets, pushforwards by
+pulling the region back.  An undecided containment fails closed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .regions import (
     region_contains,
     simplex_in_region,
 )
+from .simplicial import add_into, linear_image
 
 
 class SymbolicError(Exception):
@@ -204,24 +207,13 @@ class FormalChain:
     """Integer combination of symbolic simplices in one degree."""
 
     def __init__(self, terms=None, dim=None):
-        self.terms = {}
-        self.dim = dim
-        if terms:
-            for s, c in (terms.items() if isinstance(terms, dict) else terms):
-                self._add(s, c)
-
-    def _add(self, simplex, coeff):
-        if coeff == 0:
-            return
-        if self.dim is None:
-            self.dim = simplex.dim
-        elif simplex.dim != self.dim:
+        self.terms = add_into({}, terms or {})
+        dims = {s.dim for s in self.terms}
+        if dim is not None:
+            dims.add(dim)
+        if len(dims) > 1:
             raise SymbolicError("mixed degrees in a formal chain")
-        cur = self.terms.get(simplex, 0) + coeff
-        if cur == 0:
-            self.terms.pop(simplex, None)
-        else:
-            self.terms[simplex] = cur
+        self.dim = dims.pop() if dims else None
 
     @classmethod
     def single(cls, simplex, coeff=1):
@@ -231,31 +223,27 @@ class FormalChain:
     def zero(cls, dim=None):
         return cls({}, dim=dim)
 
-    def add(self, other, scale=1):
-        out = FormalChain(self.terms, dim=self.dim)
-        if isinstance(other, FormalChain):
-            if other.dim is not None and out.dim is None:
-                out.dim = other.dim
-            for s, c in other.terms.items():
-                out._add(s, scale * c)
-        else:
-            out._add(other, scale)
-        return out
+    @classmethod
+    def image(cls, chain, fn):
+        """sum of c * fn(k) over the chain {k: c}, fn(k) one simplex;
+        coefficients of generators with the same image add up."""
+        return cls(linear_image(chain, lambda k: {fn(k): 1}))
 
-    def scale(self, s):
-        if s == 0:
-            return FormalChain.zero(self.dim)
-        return FormalChain({k: s * c for k, c in self.terms.items()},
-                           dim=self.dim)
+    def add(self, other, scale=1):
+        """self + scale * other; ``other`` may be a bare simplex."""
+        if not isinstance(other, FormalChain):
+            other = FormalChain.single(other)
+        return FormalChain(add_into(dict(self.terms), other.terms, scale),
+                           dim=other.dim if self.dim is None else self.dim)
 
     def boundary(self) -> "FormalChain":
-        if self.dim == 0 or self.dim is None:
-            return FormalChain.zero(self.dim - 1 if self.dim else None)
-        out = FormalChain.zero(self.dim - 1)
+        if not self.dim:
+            return FormalChain.zero()
+        out = {}
         for s, c in self.terms.items():
             for i in range(s.dim + 1):
-                out._add(s.face(i), c * (-1) ** i)
-        return out
+                add_into(out, {s.face(i): c * (-1) ** i})
+        return FormalChain(out, dim=self.dim - 1)
 
     def is_zero(self):
         return not self.terms
@@ -263,29 +251,11 @@ class FormalChain:
     def __eq__(self, other):
         return isinstance(other, FormalChain) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset((k.key(), c) for k, c in self.terms.items()))
-
-    def __len__(self):
-        return len(self.terms)
-
     def __repr__(self):
         return f"FormalChain(dim={self.dim}, {len(self.terms)} terms)"
 
-    def map(self, fn):
-        out = FormalChain.zero(None)
-        for s, c in self.terms.items():
-            out = out.add(fn(s), c)
-        return out
-
     def push(self, map_: AffineMap):
-        return FormalChain({pushforward(map_, s): c
-                            for s, c in self.terms.items()} or {},
-                           dim=self.dim)
-
-
-def chains_equal(a: FormalChain, b: FormalChain) -> bool:
-    return a.terms == b.terms
+        return FormalChain.image(self.terms, lambda s: pushforward(map_, s))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
     chain_in_c_eta,
-    chains_equal,
 )
 
 
@@ -55,12 +54,11 @@ def assert_projection_identities(data, eta):
         if len(order) == 1:
             ((simplex, c),) = pi.terms.items()
             assert c == 1 and simplex.evaluate((1,)) == R.point(order[0])
-        assert chains_equal(pi.boundary(),
-                            linear_extension(data.pi, boundary)), order
+        assert pi.boundary() == linear_extension(data.pi, boundary), order
         lhs = data.h[key].boundary().add(linear_extension(data.h, boundary))
         identity = FormalChain.single(AffineSimplex(
             [R.point(v) for v in order]))
-        assert chains_equal(lhs, identity.add(pi, -1)), order
+        assert lhs == identity.add(pi, -1), order
         assert chain_in_c_eta(pi, eta) is True, order
 
 
@@ -122,7 +120,7 @@ def test_boundary_in_small_chains_segment():
     eta = ball_nesting(2, Fraction(1))
     x = boundary_in_small_chains(points, eta, n_cap=3)
     sigma = FormalChain.single(AffineSimplex(points))
-    assert chains_equal(x.boundary(), sigma.boundary())
+    assert x.boundary() == sigma.boundary()
     assert chain_in_c_eta(x, eta) is True
 
 
@@ -196,8 +194,8 @@ def test_glued_validation_equals_full_validation(monkeypatch, k, sq_radius):
     assert report.passed
     assert_same_report(report, validate_covering(glued, eta))
     # a bad covering set on one upper face is still reported
-    upper = sorted(set(glued.assignments) - set(lower.assignments),
-                   key=covering._face_sort_key)
+    upper = simplicial.sorted_faces(
+        set(glued.assignments) - set(lower.assignments))
     face = upper[-1]
     W, t = glued.assignments[face]
     far = Polytope((tuple(Fraction(9) for _ in t),))
@@ -233,3 +231,57 @@ def test_repeated_projection_does_the_same_work(monkeypatch):
         runs.append(dict(counts))
     assert runs[0] == runs[1]
     assert runs[0]["apply"] > 0 and runs[0]["lp"] > 0
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the cap was checked")
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.5, "2", None], ids=repr)
+def test_bad_subdivision_cap_fails_typed(monkeypatch, bad):
+    K, R = delta_complex(1)
+    eta = ball_nesting(2, Fraction(2))
+    monkeypatch.setattr(covering, "validate_covering", _must_not_run)
+    monkeypatch.setattr(covering, "delta_complex", _must_not_run)
+    monkeypatch.setattr(covering, "in_c_eta", _must_not_run)
+    monkeypatch.setattr(simplicial, "subdivide", _must_not_run)
+    calls = [lambda: find_covering(K, R, eta, n_cap=bad),
+             lambda: small_chain_projection(1, eta, n_cap=bad),
+             lambda: cylinder_covering(1, eta, n_cap=bad),
+             lambda: mapping_cylinder(1, eta, bad),
+             lambda: boundary_in_small_chains([(0, 0), (1, 1)], eta,
+                                              n_cap=bad)]
+    for call in calls:
+        with pytest.raises(CoveringError, match=f"got {bad!r}"):
+            call()
+    with pytest.raises(simplicial.SimplicialError, match=f"got {bad!r}"):
+        simplicial.iterate_subdivide(K, bad)
+
+
+def test_oracles_evaluate_each_sequence_once(monkeypatch):
+    evals = collections.Counter()
+    oracles = []
+
+    def counted(oracle):
+        evaluate = oracle._eval
+
+        def wrapped(seq):
+            evals[id(oracle), seq] += 1
+            return evaluate(seq)
+
+        oracle._eval = wrapped
+        oracles.append((oracle, evaluate))
+        return oracle
+
+    pullback = covering.pullback
+    monkeypatch.setattr(covering, "pullback",
+                        lambda f, eta: counted(pullback(f, eta)))
+    eta = counted(ball_nesting(3, Fraction(1, 2)))
+    data = small_chain_projection(2, eta, n_cap=3)
+    assert data.n == 1
+    assert len(oracles) > 1 and evals and max(evals.values()) == 1
+    for oracle, evaluate in oracles:
+        assert len(oracle._memo) == sum(
+            1 for (i, _) in evals if i == id(oracle))
+        for seq, region in oracle._memo.items():
+            assert region == evaluate(seq)

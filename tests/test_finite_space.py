@@ -16,6 +16,8 @@ from nestrix.finite_space import (
     random_space,
     sierpinski_space,
 )
+from nestrix.sheaves import _antichain_covers
+from nestrix.simplicial import vkey
 
 
 def clopen_connected_oracle(space, subset):
@@ -182,6 +184,27 @@ class TestInvariants:
     def test_cap(self):
         with pytest.raises(FiniteSpaceError):
             random_space(9, 0.5, 1)
+
+
+def written_out_order(sets):
+    """The (size, sorted vertex keys) order, spelled out."""
+    return sorted(sets, key=lambda s: (len(s), tuple(
+        vkey(v) for v in sorted(s, key=vkey))))
+
+
+class TestSetOrder:
+    @pytest.mark.parametrize("make", [
+        example03_space, pseudocircle, sierpinski_space,
+        lambda: disjoint_union(pseudocircle(), sierpinski_space()),
+        *[lambda seed=seed: random_space(6, 0.4, seed) for seed in range(6)]])
+    def test_opens_and_connected_subsets(self, make):
+        X = make()
+        assert X.opens_sorted() == written_out_order(X.opens)
+        subsets = X.connected_subsets()
+        assert subsets == written_out_order(subsets)
+        for U in X.opens:
+            for cover in _antichain_covers(X, U, 64):
+                assert cover == written_out_order(cover)
 
 
 class TestRandomSpaceGolden:

@@ -12,8 +12,10 @@ from nestrix.simplicial import (
     Realization,
     SimplicialChainMap,
     SimplicialError,
+    add_into,
     chain_add,
     chain_eq,
+    compose_chain_maps,
     format_complex,
     format_realization,
     iterate_subdivide,
@@ -455,6 +457,94 @@ class TestSortOrder:
             non_maximal = {k - {v} for k in K.faces if len(k) > 1
                            for v in k}
             assert K.facets() == [k for k in old if k not in non_maximal]
+
+
+def copying_add(a, b, scale=1):
+    """Reference chain sum: copy the left side, then add term by term."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + scale * c
+        if out[k] == 0:
+            del out[k]
+    return out
+
+
+def copying_extension(image, chain):
+    out = {}
+    for key, c in chain.items():
+        out = copying_add(out, image(key), c)
+    return out
+
+
+def _random_chains(rng, K):
+    """Random chains in each degree, one with a zero coefficient and one
+    whose boundary cancels to nothing (the boundary of a boundary)."""
+    chains = []
+    for d in range(K.dim() + 1):
+        faces = K.faces_of_dim(d)
+        chains.append({k: rng.choice([-3, -1, 0, 1, 2])
+                       for k in rng.sample(faces, min(len(faces), 6))})
+        if d + 1 <= K.dim():
+            top = K.faces_of_dim(d + 1)
+            chains.append(K.boundary_of_face(rng.choice(top)))
+    return chains
+
+
+def _assert_same_chain(got, want):
+    # same terms in the same insertion order as the copying formula
+    assert list(got.items()) == list(want.items())
+
+
+class TestChainAlgebra:
+    def test_add_into_is_in_place_and_drops_zeros(self):
+        out = {"a": 1, "b": 2}
+        same = add_into(out, {"b": -2, "c": 3, "d": 0}, 1)
+        assert same is out and out == {"a": 1, "c": 3}
+        assert add_into(out, {"a": 1, "c": 1}, -1) == {"c": 2}
+        assert add_into({}, {("x", 1): 2}, 0) == {}
+        a = {frozenset([0]): 1}
+        assert chain_add(a, {frozenset([0]): -1}) == {}
+        assert a == {frozenset([0]): 1}
+
+    def test_maps_equal_the_copying_formula(self):
+        rng = random.Random(8)
+        for seed in range(50):
+            K = random_complex(seed, max_dim=2)
+            subs = iterate_subdivide(K, 2)[0]
+            for L, S in ((K, subs[0].chain_map),
+                         (subs[1].complex, None)):
+                for chain in _random_chains(rng, L):
+                    _assert_same_chain(
+                        L.boundary_chain(chain),
+                        copying_extension(L.boundary_of_face, chain))
+                    if S is not None:
+                        _assert_same_chain(
+                            S.apply(chain),
+                            copying_extension(S.values.__getitem__, chain))
+            composed = compose_chain_maps(subs[1].chain_map,
+                                          subs[0].chain_map)
+            for key, value in subs[0].chain_map.values.items():
+                _assert_same_chain(composed.values[key], copying_extension(
+                    subs[1].chain_map.values.__getitem__, value))
+
+    def test_apply_with_cancelling_images(self):
+        # values chosen so that images of different faces overlap and cancel
+        rng = random.Random(3)
+        for seed in range(50):
+            K = random_complex(seed, max_dim=2)
+            target = iterate_subdivide(K, 2)[0][-1].complex
+            pool = target.all_faces()
+            values = {k: {rng.choice(pool): rng.choice([-1, 1])
+                          for _ in range(3)} for k in K.faces}
+            M = SimplicialChainMap(K, target, 0, values)
+            for chain in _random_chains(rng, K):
+                _assert_same_chain(M.apply(chain),
+                                   copying_extension(values.__getitem__, chain))
+        K = delta(1)
+        edge = frozenset([0, 1])
+        M = SimplicialChainMap(K, K, 0, {k: {edge: 1} for k in K.faces})
+        assert M.apply({frozenset([0]): 1, frozenset([1]): -1}) == {}
+        assert M.apply({frozenset([0]): 2, edge: 1}) == {edge: 3}
 
 
 class TestTextFormat:

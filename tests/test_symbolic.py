@@ -1,0 +1,84 @@
+"""Formal chains of symbolic simplices: sums, boundaries, images and
+pushforwards, with coefficients checked term by term."""
+
+from fractions import Fraction
+
+import pytest
+
+from nestrix.regions import AffineMap
+from nestrix.symbolic import (
+    AffineSimplex,
+    FormalChain,
+    SymbolicError,
+    cone_simplex,
+)
+
+F = Fraction
+A = AffineSimplex([(0, 0), (1, 0)])
+B = AffineSimplex([(0, 1), (1, 1)])
+C = AffineSimplex([(0, 0), (0, 1)])
+POINT = AffineSimplex([(0, 0)])
+Q = AffineMap.projection_drop_last(2)
+
+
+def point(*c):
+    return AffineSimplex([c])
+
+
+def test_push_adds_coefficients_of_colliding_images():
+    # A and B both project to the segment [0, 1]
+    segment = AffineSimplex([(0,), (1,)])
+    pushed = FormalChain({A: 1, B: 1}).push(Q)
+    assert pushed.terms == {segment: 2}
+    assert pushed.boundary().terms == {point(1): 2, point(0): -2}
+    assert pushed.boundary() == FormalChain({A: 1, B: 1}).boundary().push(Q)
+    assert FormalChain({A: 1, B: -1}).push(Q).is_zero()
+
+
+def test_image_sums_and_cancels():
+    chain = {A: 1, B: 2, C: -3}
+    assert FormalChain.image(chain, lambda s: A).is_zero()
+    assert FormalChain.image({A: 1, B: 2}, lambda s: A).terms == {A: 3}
+    coned = FormalChain.image({A: 2, B: -1}, lambda s: cone_simplex((5, 5), s))
+    assert coned.dim == 2
+    assert coned.terms == {cone_simplex((5, 5), A): 2,
+                           cone_simplex((5, 5), B): -1}
+    assert FormalChain.image({}, lambda s: A).is_zero()
+
+
+def test_add_and_equality():
+    chain = FormalChain.single(A).add(B)
+    assert chain == FormalChain({A: 1, B: 1})
+    assert chain.add(A, -1) == FormalChain.single(B)
+    assert chain.add(chain, -1).is_zero()
+    assert chain.add(FormalChain.single(C), 3).terms == {A: 1, B: 1, C: 3}
+    # add never changes its operands
+    assert chain.terms == {A: 1, B: 1}
+    assert FormalChain.zero(None).add(A).dim == 1
+    assert FormalChain({A: 0}).is_zero()
+    assert FormalChain.single(A) != FormalChain.single(A, 2)
+
+
+def test_mixed_degrees_raise():
+    with pytest.raises(SymbolicError, match="mixed degrees"):
+        FormalChain({A: 1, POINT: 1})
+    with pytest.raises(SymbolicError, match="mixed degrees"):
+        FormalChain.single(A).add(POINT)
+    with pytest.raises(SymbolicError, match="mixed degrees"):
+        FormalChain.zero(0).add(FormalChain.single(A))
+    with pytest.raises(SymbolicError, match="mixed degrees"):
+        FormalChain({A: 1}, dim=0)
+    with pytest.raises(SymbolicError, match="mixed degrees"):
+        FormalChain.image({A: 1, POINT: 1}, lambda s: s)
+
+
+def test_boundary_adds_repeated_faces():
+    p, q = (F(0), F(0)), (F(1), F(0))
+    # faces 0 and 1 of [p, p, q] are both [p, q] with opposite signs
+    assert FormalChain.single(AffineSimplex([p, p, q])).boundary().terms == {
+        AffineSimplex([p, p]): 1}
+    assert FormalChain.single(AffineSimplex([p, p])).boundary().is_zero()
+    assert FormalChain.single(A).boundary().terms == {point(1, 0): 1,
+                                                      point(0, 0): -1}
+    assert FormalChain.single(POINT).boundary().is_zero()
+    assert FormalChain.single(A).boundary().boundary().is_zero()
