@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import frac, frac_str
@@ -87,17 +87,25 @@ class CoveringError(Exception):
         self.attempts = list(attempts)
 
 
-@dataclass
 class CompatibleCovering:
-    complex: OrderedSimplicialComplex
-    realization: Realization
-    assignments: dict  # face key -> (Region W, point t)
-    uid: str = field(default="")
+    """A (W, t) assignment on faces of a realized complex.
 
-    def __post_init__(self):
+    ``uid`` names the assignment table: 16 hex digits of the sha256 of its
+    canonical JSON form, computed on first read unless given."""
+
+    def __init__(self, complex: OrderedSimplicialComplex,
+                 realization: Realization, assignments: dict, uid: str = ""):
+        self.complex = complex
+        self.realization = realization
+        # face key -> (Region W, point t)
         self.assignments = {frozenset(k): (w, tuple(frac(c) for c in t))
-                            for k, (w, t) in self.assignments.items()}
-        if not self.uid:
+                            for k, (w, t) in assignments.items()}
+        self._uid = uid
+        self._identity_memo = {}
+
+    @property
+    def uid(self) -> str:
+        if not self._uid:
             blob = json.dumps(
                 [[sorted(map(repr, k)),
                   region_descriptor(w),
@@ -105,8 +113,8 @@ class CompatibleCovering:
                  for k, (w, t) in sorted(self.assignments.items(),
                                          key=lambda kv: sorted(map(repr, kv[0])))],
                 sort_keys=True)
-            self.uid = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        self._identity_memo = {}
+            self._uid = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self._uid
 
     def faces(self):
         return set(self.assignments)
@@ -180,8 +188,9 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
                       ) -> CoveringValidation:
     """All covering conditions, exactly; undecided inclusions fail closed.
 
-    One membership cache (see ``regions.contains_point``) lives for the
-    length of the call and is dropped with it, so nothing outlives the
+    One cache of membership and inclusion verdicts (see
+    ``regions.contains_point`` and ``regions.region_contains``) lives for
+    the length of the call and is dropped with it, so nothing outlives the
     validation.
 
     ``checked`` is for a caller that extends a covering which already

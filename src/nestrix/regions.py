@@ -8,14 +8,24 @@ regions is decided by a sound rule system with a three-valued answer
 (``TRUE`` / ``FALSE`` / ``UNKNOWN``) so that undecided inclusions can
 fail closed.
 
-All comparisons are rational; square roots enter only through the exact
-test  sqrt(a) + sqrt(b) <= sqrt(c)  <=>  a + b <= c  and
-4ab <= (c - a - b)^2.
+Every answer is exact.  Balls and maps compare in rationals; square roots
+enter only through the exact test  sqrt(a) + sqrt(b) <= sqrt(c)  <=>
+a + b <= c  and  4ab <= (c - a - b)^2.  Polytope membership solves in
+integers: each row of the barycentric system is scaled by the lcm of its
+denominators, the direct solve is fraction-free Gauss-Jordan elimination
+(Bareiss: every step divides exactly by the previous pivot) and the
+fallback is phase 1 of the simplex method with integer pivoting and
+Bland's rule, so no Fraction is built until a solution is read off.
+
+Maps and regions are immutable and compute their hash once, at
+construction, so the dict keys built from them during a validation cost
+one tuple hash; equal regions built separately hash and compare alike.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,6 +86,8 @@ class AffineMap:
         offset = tuple(frac(x) for x in self.offset)
         if len(offset) != len(rows):
             raise RegionError("offset dimension mismatch")
+        if len({len(r) for r in rows}) > 1:
+            raise RegionError("affine map rows of different lengths")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_terms", tuple(
@@ -178,16 +190,26 @@ class Empty(Region):
     pass
 
 
+# OpenBall, Intersection, Polytope and AffinePreimage store the hash of
+# their fields at construction, as AffineMap does; the dataclass keeps the
+# explicit __hash__ and generates only __eq__.
+
 @dataclass(frozen=True)
 class OpenBall(Region):
     center: tuple
     sq_radius: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(frac(c) for c in self.center))
-        object.__setattr__(self, "sq_radius", frac(self.sq_radius))
-        if self.sq_radius <= 0:
+        center = tuple(frac(c) for c in self.center)
+        sq_radius = frac(self.sq_radius)
+        if sq_radius <= 0:
             raise RegionError("open balls need positive squared radius")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "sq_radius", sq_radius)
+        object.__setattr__(self, "_hash", hash((center, sq_radius)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -203,25 +225,44 @@ class Intersection(Region):
     members: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+        members = tuple(self.members)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_hash", hash((members,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Polytope(Region):
-    """Closed convex hull of finitely many rational points (covering sets)."""
+    """Closed convex hull of finitely many rational points (covering sets).
+
+    ``vertex_set`` is the frozenset of the vertices, for subset tests."""
 
     vertices: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vertices",
-            tuple(tuple(frac(c) for c in v) for v in self.vertices))
+        vertices = tuple(tuple(frac(c) for c in v) for v in self.vertices)
+        if len({len(v) for v in vertices}) > 1:
+            raise RegionError("polytope vertices of different dimensions")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "vertex_set", frozenset(vertices))
+        object.__setattr__(self, "_hash", hash((vertices,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class AffinePreimage(Region):
     map: AffineMap
     inner: Region
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.map, self.inner)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def intersection(members) -> Region:
@@ -308,8 +349,9 @@ def contains_point(region: Region, x, cache=None) -> bool:
     ``cache``, when given, is a dict the caller owns for the length of one
     computation.  It keeps the verdicts for ``Polytope`` and
     ``AffinePreimage`` regions, the two whose test costs more than hashing
-    the ``(region, point)`` key (an LP, a map application).  A verdict is a
-    function of the key alone, so a cached answer is the exact answer.
+    the ``(region, point)`` key (an LP, a map application), and
+    ``region_contains`` keeps its verdicts in the same dict.  A verdict is
+    a function of the key alone, so a cached answer is the exact answer.
     """
     if isinstance(region, Ambient):
         return True
@@ -339,7 +381,7 @@ def contains_point(region: Region, x, cache=None) -> bool:
 
 
 def polytope_contains_point(vertices, x) -> bool:
-    """x in conv(vertices): exact rational LP feasibility (phase 1).
+    """x in conv(vertices): exact LP feasibility (phase 1, in integers).
 
     Affinely independent vertex sets (the common case: simplex faces and
     prisms over them) take a direct barycentric solve instead.
@@ -366,83 +408,109 @@ def polytope_contains_point(vertices, x) -> bool:
     return _lp_feasible(rows, rhs)
 
 
+def _integer_rows(A, b):
+    """The rows of [A | b], each times the lcm of its denominators: an
+    integer system with the same solutions."""
+    out = []
+    for row, bi in zip(A, b):
+        row = [frac(v) for v in row] + [frac(bi)]
+        scale = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
+
+
+def _pivot(T, r, c, prev):
+    """Integer pivot of T on entry (r, c), with ``prev`` the previous pivot
+    (1 at the start).  Row r is kept; every other row becomes
+    (p * row - row[c] * T[r]) / prev, p = T[r][c].  The division is exact
+    (Bareiss): every entry stays a minor of the starting matrix, and the
+    rational tableau is T / p.  Returns p, the next ``prev``."""
+    pr = T[r]
+    p = pr[c]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            T[i] = [(p * v - f * w) // prev for v, w in zip(row, pr)]
+        elif p != prev:
+            T[i] = [p * v // prev for v in row]
+    return p
+
+
 def _solve_unique(A, b):
-    """Gaussian elimination: ('unique', x) / ('inconsistent', None) / None
-    when the system is underdetermined."""
-    m = len(A)
+    """Fraction-free Gauss-Jordan elimination of A x = b:
+    ('unique', x) / ('inconsistent', None) / None when the system is
+    underdetermined.  Row order, pivot choice and verdicts are those of
+    rational elimination; only the unique solution is built in Fractions.
+    """
+    T = _integer_rows(A, b)
+    m = len(T)
     n = len(A[0]) if m else 0
-    T = [[frac(v) for v in A[i]] + [frac(b[i])] for i in range(m)]
     piv_cols = []
+    det = 1
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if T[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if T[i][c]), None)
         if piv is None:
             continue
         T[r], T[piv] = T[piv], T[r]
-        pv = T[r][c]
-        T[r] = [v / pv for v in T[r]]
-        for i in range(m):
-            if i != r and T[i][c] != 0:
-                f = T[i][c]
-                T[i] = [v - f * w for v, w in zip(T[i], T[r])]
+        det = _pivot(T, r, c, det)
         piv_cols.append(c)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if T[i][-1] != 0:
-            return ("inconsistent", None)
+    if any(T[i][-1] for i in range(r, m)):
+        return ("inconsistent", None)
     if len(piv_cols) < n:
         return None
+    # every pivot entry now equals det
     x = [Fraction(0)] * n
     for i, c in enumerate(piv_cols):
-        x[c] = T[i][-1]
+        x[c] = Fraction(T[i][-1], det)
     return ("unique", x)
 
 
 def _lp_feasible(A, b) -> bool:
-    m = len(A)
+    """Is A l = b, l >= 0 feasible?  Phase 1 of the simplex method on the
+    integer rows (sign-flipped so b >= 0) with one artificial variable
+    each, integer pivoting and Bland's rule (least entering column, ties in
+    the ratio test to the least basic index), so the search terminates.
+    The determinant ``det`` stays positive, since every pivot is."""
+    T = _integer_rows(A, b)
+    m = len(T)
     n = len(A[0]) if m else 0
-    T = []
-    for i in range(m):
-        row = [frac(v) for v in A[i]]
-        bi = frac(b[i])
-        if bi < 0:
+    for i, row in enumerate(T):
+        if row[-1] < 0:
             row = [-v for v in row]
-            bi = -bi
-        T.append(row + [Fraction(1 if j == i else 0) for j in range(m)] + [bi])
+        T[i] = row[:-1] + [int(j == i) for j in range(m)] + [row[-1]]
+    # the objective row (minimize the artificials' sum) is row m
+    obj = [-sum(row[j] for row in T) for j in range(n + m + 1)]
+    obj[n:n + m] = [0] * m
+    T.append(obj)
     basis = [n + i for i in range(m)]
-    width = n + m + 1
-    obj = [Fraction(0)] * width
-    for j in range(width):
-        obj[j] = -sum(T[i][j] for i in range(m))
-    for i in range(m):
-        obj[n + i] = Fraction(0)
+    det = 1
     while True:
+        obj = T[m]
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
-            break
+            return obj[-1] == 0
         best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+            a = T[i][enter]
+            if a > 0:
+                if best is None:
+                    best = i
+                    continue
+                # compare T[i][-1] / a with the best row's ratio
+                lhs = T[i][-1] * T[best][enter]
+                rhs = T[best][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:
             return False
-        piv = best[1]
-        pv = T[piv][enter]
-        T[piv] = [v / pv for v in T[piv]]
-        for i in range(m):
-            if i != piv and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [v - f * w for v, w in zip(T[i], T[piv])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [v - f * w for v, w in zip(obj, T[piv])]
-        basis[piv] = enter
-    return obj[-1] == 0
+        det = _pivot(T, best, enter, det)
+        basis[best] = enter
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +524,22 @@ def ball_in_ball(inner: OpenBall, outer: OpenBall) -> bool:
 def region_contains(outer: Region, inner: Region, cache=None) -> Tri:
     """Is inner a subset of outer?  Sound three-valued rule system.
 
-    ``cache`` is handed to every membership test made on the way (see
-    ``contains_point``)."""
+    ``cache``, when given, is the caller's dict of ``contains_point``.  The
+    verdict is stored in it under ``(outer, inner)``, which no membership
+    key equals, and is handed to every test made on the way, nested
+    inclusions included.  The verdict is a function of the pair alone, so
+    a cached answer is the exact answer."""
+    if cache is None:
+        return _inclusion(outer, inner, None)
+    key = (outer, inner)
+    verdict = cache.get(key)
+    if verdict is None:
+        verdict = cache[key] = _inclusion(outer, inner, cache)
+    return verdict
+
+
+def _inclusion(outer: Region, inner: Region, cache) -> Tri:
+    """The rules of ``region_contains``, which memoizes them."""
     if isinstance(inner, Empty) or inner == outer:
         return Tri.TRUE
     if isinstance(outer, Ambient):
@@ -479,7 +561,7 @@ def region_contains(outer: Region, inner: Region, cache=None) -> Tri:
         return Tri.UNKNOWN
     if isinstance(inner, Polytope):
         if isinstance(outer, Polytope) and \
-                set(inner.vertices) <= set(outer.vertices):
+                inner.vertex_set <= outer.vertex_set:
             return Tri.TRUE
         if is_convex(outer):
             ok = all(contains_point(outer, v, cache) for v in inner.vertices)
@@ -561,6 +643,8 @@ def preimage_region(f: AffineMap, region: Region) -> Region:
     if isinstance(region, Intersection):
         return intersection([preimage_region(f, m) for m in region.members])
     if isinstance(region, OpenBall) and f.cols_orthonormal():
+        if len(region.center) != f.target_dim:
+            raise RegionError("ball dimension differs from the map's target")
         # |Ax + b - c|^2 = |x - A^T(c-b)|^2 + (|c-b|^2 - |A^T(c-b)|^2)
         cb = tuple(ci - bi for ci, bi in zip(region.center, f.offset))
         center = f.transpose_apply(cb)

@@ -48,6 +48,7 @@ class SymbolicError(Exception):
 
 class SymbolicSimplex:
     dim: int
+    _hash = None    # hash of the key, computed on first use
 
     def key(self):
         return self._key
@@ -56,7 +57,9 @@ class SymbolicSimplex:
         return isinstance(other, SymbolicSimplex) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim}>"

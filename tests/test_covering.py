@@ -7,11 +7,13 @@ verdict and failures of a full validation."""
 
 import collections
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from nestrix import covering, regions, simplicial
+from nestrix import covering, nesting, regions, simplicial
 from nestrix.covering import (
     CompatibleCovering,
     CoveringError,
@@ -23,8 +25,9 @@ from nestrix.covering import (
     small_chain_projection,
     validate_covering,
 )
+from nestrix.exact import frac_str
 from nestrix.nesting import PLRealm, UniformBallRule, cover_generated
-from nestrix.regions import Polytope
+from nestrix.regions import AffineMap, Polytope, region_descriptor
 from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
@@ -285,3 +288,70 @@ def test_oracles_evaluate_each_sequence_once(monkeypatch):
             1 for (i, _) in evals if i == id(oracle))
         for seq, region in oracle._memo.items():
             assert region == evaluate(seq)
+
+
+def test_oracles_compute_each_point_once(monkeypatch):
+    regions_at = collections.Counter()
+    region_at = UniformBallRule.region_at
+
+    def counted_region_at(self, x):
+        regions_at[x] += 1
+        return region_at(self, x)
+
+    monkeypatch.setattr(UniformBallRule, "region_at", counted_region_at)
+    eta = ball_nesting(3, Fraction(1, 2))
+    small_chain_projection(2, eta, n_cap=3)
+    assert regions_at and max(regions_at.values()) == 1
+    assert set(eta._point_memo) == set(regions_at)
+
+    images = collections.Counter()
+    apply = AffineMap.apply
+
+    def counted_apply(self, x):
+        images[x] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(AffineMap, "apply", counted_apply)
+    f = AffineMap(((1, 1), (0, 2)), (0, 1))
+    back = nesting.pullback(f, ball_nesting(2, Fraction(1)))
+    a, b, c = ((Fraction(i), Fraction(1, i + 1)) for i in range(3))
+    for seq in [(a, b), (b, a), (a,), (b, c), (c, a, b)]:
+        assert back.region(seq) == back._eval(seq)
+    assert images == dict.fromkeys((a, b, c), 1)
+    assert back._point_memo == {x: apply(f, x) for x in (a, b, c)}
+
+
+def reference_uid(cov):
+    blob = json.dumps(
+        [[sorted(map(repr, k)), region_descriptor(w),
+          [frac_str(c) for c in t]]
+         for k, (w, t) in sorted(cov.assignments.items(),
+                                 key=lambda kv: sorted(map(repr, kv[0])))],
+        sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_uid_is_computed_on_first_read(monkeypatch):
+    digests = []
+    sha256 = hashlib.sha256
+
+    def counted(data):
+        digests.append(data)
+        return sha256(data)
+
+    K, R = delta_complex(2)
+    assignments = {key: (Polytope(tuple(R.point(v) for v in K.order(key))),
+                         R.barycenter(K.order(key)))
+                   for key in K.all_faces()}
+    monkeypatch.setattr(covering.hashlib, "sha256", counted)
+    cov = CompatibleCovering(K, R, assignments)
+    named = CompatibleCovering(K, R, assignments, uid="given")
+    assert digests == []
+    assert named.uid == "given" and digests == []
+    first = cov.uid
+    assert cov.uid == first and len(digests) == 1
+    monkeypatch.undo()
+    assert first == reference_uid(cov)
+    data = small_chain_projection(2, ball_nesting(3, Fraction(1, 2)),
+                                  n_cap=3)
+    assert data.covering.uid == reference_uid(data.covering)
