@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import frac, frac_str
@@ -87,17 +87,22 @@ class CoveringError(Exception):
         self.attempts = list(attempts)
 
 
+@dataclass(init=False)
 class CompatibleCovering:
     """A (W, t) assignment on faces of a realized complex.
 
     ``uid`` names the assignment table: 16 hex digits of the sha256 of its
     canonical JSON form, computed on first read unless given."""
 
+    complex: OrderedSimplicialComplex
+    realization: Realization
+    assignments: dict  # face key -> (Region W, point t)
+    _uid: str = field(default="", init=False, repr=False, compare=False)
+
     def __init__(self, complex: OrderedSimplicialComplex,
                  realization: Realization, assignments: dict, uid: str = ""):
         self.complex = complex
         self.realization = realization
-        # face key -> (Region W, point t)
         self.assignments = {frozenset(k): (w, tuple(frac(c) for c in t))
                             for k, (w, t) in assignments.items()}
         self._uid = uid

@@ -193,17 +193,11 @@ class PulledRule:
 
 @dataclass
 class NestingOracle:
-    """An evaluator with its memos.  ``_memo`` keeps eta per point
-    sequence; ``_point_memo`` keeps what ``_eval`` computes per single
-    point (a rule's region, a map's image), for the constructors that
-    have such work."""
-
     realm: object
     provenance: str
     descriptor: tuple
     _eval: object
     _memo: dict = field(default_factory=dict)
-    _point_memo: dict = field(default_factory=dict)
 
     def region(self, points) -> Region:
         """eta at a point sequence, evaluated once per distinct sequence.
@@ -211,18 +205,14 @@ class NestingOracle:
         The points must be hashable: coordinate tuples in a PL realm,
         point names in a finite one.  The memo lives on the oracle.
         """
-        return _once(self._memo, self._eval, tuple(points))
+        seq = tuple(points)
+        out = self._memo.get(seq)
+        if out is None:
+            out = self._memo[seq] = self._eval(seq)
+        return out
 
     def key(self):
         return ("nesting", self.provenance, self.descriptor)
-
-
-def _once(memo, fn, x):
-    """fn(x), computed on the first call for x and then read from memo."""
-    out = memo.get(x)
-    if out is None:
-        out = memo[x] = fn(x)
-    return out
 
 
 def cover_generated(realm, rule) -> NestingOracle:
@@ -235,17 +225,13 @@ def cover_generated(realm, rule) -> NestingOracle:
         if rule.space is not realm.space:
             raise NestingError("minimal-open rule bound to a different space")
 
-    regions_at = {}
-
     def ev(seq):
         if not seq:
             return realm.ambient_region()
-        return intersection([_once(regions_at, rule.region_at, x)
-                             for x in seq])
+        return intersection([rule.region_at(x) for x in seq])
 
     return NestingOracle(realm, "cover-generated",
-                         ("cover", realm.descriptor(), rule.descriptor()), ev,
-                         _point_memo=regions_at)
+                         ("cover", realm.descriptor(), rule.descriptor()), ev)
 
 
 def minimal_open_nesting(space: FiniteSpace) -> NestingOracle:
@@ -286,17 +272,14 @@ def pullback(f, eta: NestingOracle) -> NestingOracle:
         if not isinstance(eta.realm, PLRealm):
             raise NestingError("affine pullback needs a PL nesting")
         realm = PLRealm(f.source_dim)
-        images = {}
 
         def ev(seq):
             if not seq:
                 return realm.ambient_region()
-            return preimage_region(f, eta.region(
-                [_once(images, f.apply, x) for x in seq]))
+            return preimage_region(f, eta.region([f.apply(x) for x in seq]))
 
         return NestingOracle(realm, "pullback",
-                             ("pullback", f.descriptor(), eta.descriptor), ev,
-                             _point_memo=images)
+                             ("pullback", f.descriptor(), eta.descriptor), ev)
     if isinstance(f, FiniteMap):
         if not isinstance(eta.realm, FiniteRealm):
             raise NestingError("finite-map pullback needs a finite nesting")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from nestrix import covering, nesting, regions, simplicial
+from nestrix import covering, regions, simplicial
 from nestrix.covering import (
     CompatibleCovering,
     CoveringError,
@@ -27,7 +27,7 @@ from nestrix.covering import (
 )
 from nestrix.exact import frac_str
 from nestrix.nesting import PLRealm, UniformBallRule, cover_generated
-from nestrix.regions import AffineMap, Polytope, region_descriptor
+from nestrix.regions import Polytope, region_descriptor
 from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
@@ -290,37 +290,6 @@ def test_oracles_evaluate_each_sequence_once(monkeypatch):
             assert region == evaluate(seq)
 
 
-def test_oracles_compute_each_point_once(monkeypatch):
-    regions_at = collections.Counter()
-    region_at = UniformBallRule.region_at
-
-    def counted_region_at(self, x):
-        regions_at[x] += 1
-        return region_at(self, x)
-
-    monkeypatch.setattr(UniformBallRule, "region_at", counted_region_at)
-    eta = ball_nesting(3, Fraction(1, 2))
-    small_chain_projection(2, eta, n_cap=3)
-    assert regions_at and max(regions_at.values()) == 1
-    assert set(eta._point_memo) == set(regions_at)
-
-    images = collections.Counter()
-    apply = AffineMap.apply
-
-    def counted_apply(self, x):
-        images[x] += 1
-        return apply(self, x)
-
-    monkeypatch.setattr(AffineMap, "apply", counted_apply)
-    f = AffineMap(((1, 1), (0, 2)), (0, 1))
-    back = nesting.pullback(f, ball_nesting(2, Fraction(1)))
-    a, b, c = ((Fraction(i), Fraction(1, i + 1)) for i in range(3))
-    for seq in [(a, b), (b, a), (a,), (b, c), (c, a, b)]:
-        assert back.region(seq) == back._eval(seq)
-    assert images == dict.fromkeys((a, b, c), 1)
-    assert back._point_memo == {x: apply(f, x) for x in (a, b, c)}
-
-
 def reference_uid(cov):
     blob = json.dumps(
         [[sorted(map(repr, k)), region_descriptor(w),
@@ -348,6 +317,8 @@ def test_uid_is_computed_on_first_read(monkeypatch):
     named = CompatibleCovering(K, R, assignments, uid="given")
     assert digests == []
     assert named.uid == "given" and digests == []
+    # equality and repr look at the data fields only
+    assert cov == named and "uid" not in repr(cov)
     first = cov.uid
     assert cov.uid == first and len(digests) == 1
     monkeypatch.undo()
