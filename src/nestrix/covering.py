@@ -22,7 +22,6 @@ boundary constructions.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,24 +130,16 @@ class CompatibleCovering:
         return self.assignments[frozenset(key)][1]
 
     def is_identity_on(self, key):
+        """Whether every nonempty face of ``key`` is assigned and pinned
+        to its own barycenter: the face's own pin and its facets' verdicts."""
         key = frozenset(key)
         memo = self._identity_memo
         if key not in memo:
-            order = self.complex.order(key)
-            ok = True
-            for size in range(1, len(order) + 1):
-                for sub in itertools.combinations(order, size):
-                    sk = frozenset(sub)
-                    if sk not in self.assignments:
-                        ok = False
-                        break
-                    if self.t(sk) != self.realization.barycenter(
-                            self.complex.order(sk)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            memo[key] = ok
+            memo[key] = (
+                key in self.assignments
+                and self.t(key) == self.realization.barycenter(key)
+                and (len(key) == 1
+                     or all(self.is_identity_on(key - {v}) for v in key)))
         return memo[key]
 
 

@@ -13,9 +13,11 @@ Everything in here is computed over Z (arbitrary-precision ints) or Q
 * ``Presentation``      -- finitely generated abelian groups given as
   Z^rank / column-span(relations), with homs, kernels and cokernels.
 
-``presented_cohomology_at`` is the one cohomology routine: homology, Z and
-Z/m cohomology of a chain complex and every sheaf-cohomology pipeline ask
-it for the middle of G0 -> G1 -> G2 on presented groups.
+Homology and Z, Z/m and Q cohomology of a free chain complex come from the
+Smith invariants of its boundaries (rank and invariant factors above 1) by
+universal coefficients.  ``presented_cohomology_at`` is the routine for
+presented groups: every sheaf-cohomology pipeline asks it for the middle
+of G0 -> G1 -> G2.
 
 Costs, counted in operations on entries (arbitrary-precision ints, so each
 grows with bit length), for an r x c matrix A:
@@ -33,6 +35,8 @@ grows with bit length), for an r x c matrix A:
 * Solving A X = B against A's Smith form (``solve_exact``,
   ``solve_boundary``, ``lattice_coordinates``) is two products, U * B and
   V * Y.
+* (Co)homology of a ``FinChainComplex`` in every degree and with every
+  coefficient ring costs one Smith form per boundary per complex.
 """
 
 from __future__ import annotations
@@ -246,6 +250,10 @@ class SmithDecomposition:
 
     def rank(self):
         return sum(1 for d in self.diagonal() if d != 0)
+
+    def torsion(self):
+        """The invariant factors above 1, each dividing the next."""
+        return tuple(d for d in self.diagonal() if d > 1)
 
 
 def _min_pivot(m, rows, cols, t):
@@ -524,9 +532,7 @@ def summary_from_relations(degree, ambient_rank, relations: IntMatrix,
         raise ExactAlgebraError("relations live in the wrong ambient")
     if snf is None:
         snf = smith_normal_form(relations)
-    diag = [d for d in snf.diagonal() if d != 0]
-    torsion = tuple(d for d in diag if d > 1)
-    return HomologySummary(degree, ambient_rank - len(diag), torsion)
+    return HomologySummary(degree, ambient_rank - snf.rank(), snf.torsion())
 
 
 class FinChainComplex:
@@ -550,6 +556,7 @@ class FinChainComplex:
                 raise ExactAlgebraError(f"boundary shape mismatch in degree {n}")
         if check:
             self.verify_d_squared()
+        self._invariants = {}
 
     def rank(self, n):
         return self.ranks.get(n, 0)
@@ -569,16 +576,32 @@ class FinChainComplex:
     def in_range(self, n):
         return self.min_degree <= n <= self.max_degree
 
+    def boundary_invariants(self, n):
+        """(rank, invariant factors above 1) of d_n.
+
+        Read from d_n's Smith form on first use and kept on the complex, so
+        a sweep over every degree and coefficient ring runs one Smith form
+        per boundary.
+        """
+        if n not in self._invariants:
+            snf = smith_normal_form(self.boundary(n))
+            self._invariants[n] = (snf.rank(), snf.torsion())
+        return self._invariants[n]
+
 
 def homology(C: FinChainComplex, n: int) -> HomologySummary:
-    """H_n = ker d_n / im d_{n+1}, at the middle of C_{n+1} -> C_n -> C_{n-1}."""
+    """H_n = ker d_n / im d_{n+1} = Z^b_n + tors(d_{n+1}).
+
+    b_n = c_n - rank d_n - rank d_{n+1}; tors(d) is d's invariant factors
+    above 1 (``FinChainComplex.boundary_invariants``).
+    """
     if not C.in_range(n):
         raise DegreeRangeError(
             f"degree {n} outside complex range "
             f"[{C.min_degree}, {C.max_degree}]")
-    groups = [Presentation.free(C.rank(d)) for d in (n + 1, n, n - 1)]
-    return presented_cohomology_at(
-        groups, [C.boundary(n + 1), C.boundary(n)], n)
+    r_in, _ = C.boundary_invariants(n)
+    r_out, torsion = C.boundary_invariants(n + 1)
+    return HomologySummary(n, C.rank(n) - r_in - r_out, torsion)
 
 
 ZCOEFF = ("Z",)
@@ -589,32 +612,63 @@ def zmod(m):
     return ("Zmod", m)
 
 
-def cohomology(C: FinChainComplex, coefficients, n: int) -> HomologySummary:
-    """Cohomology of the dualized complex with Z, Z/m or Q coefficients."""
-    kind = coefficients[0]
-    if kind not in ("Z", "Q", "Zmod"):
+def coefficient_modulus(coefficients):
+    """The m with coefficient group Z/m: 0 for ``ZCOEFF``, None for ``QCOEFF``.
+
+    ``("Zmod", m)`` needs an int m >= 1 (a bool is not one); any other
+    descriptor raises ExactAlgebraError.
+    """
+    if coefficients == ZCOEFF:
+        return 0
+    if coefficients == QCOEFF:
+        return None
+    if not (isinstance(coefficients, tuple) and len(coefficients) == 2
+            and coefficients[0] == "Zmod"):
         raise ExactAlgebraError(f"unsupported coefficients {coefficients!r}")
-    if kind == "Zmod":
-        m = coefficients[1]
-        if m == 0:
-            raise ExactAlgebraError("Z/0 rejected; use the Z descriptor")
-        if m < 0:
-            raise ExactAlgebraError("modulus must be positive")
+    m = coefficients[1]
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ExactAlgebraError(f"modulus must be an int, got {m!r}")
+    if m == 0:
+        raise ExactAlgebraError("Z/0 rejected; use the Z descriptor")
+    if m < 0:
+        raise ExactAlgebraError("modulus must be positive")
+    return m
+
+
+def _invariant_factors(orders):
+    """Invariant factors above 1 of the sum of the Z/a for a in ``orders``.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after entry i has met every later
+    entry it divides all of them.
+    """
+    f = list(orders)
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            f[i], f[j] = math.gcd(f[i], f[j]), math.lcm(f[i], f[j])
+    return tuple(a for a in f if a > 1)
+
+
+def cohomology(C: FinChainComplex, coefficients, n: int) -> HomologySummary:
+    """Cohomology of the dualized complex with Z, Z/m or Q coefficients.
+
+    By universal coefficients (Hatcher, Algebraic Topology, Thm 3.2) from
+    the invariants of d_n and d_{n+1}: H^n(Z) = Z^b_n + tors(d_n),
+    H^n(Q) = Q^b_n, and H^n(Z/m) = (Z/m)^b_n plus Z/gcd(t, m) for every t
+    in tors(d_{n+1}) (Hom of H_n) and in tors(d_n) (Ext of H_{n-1}).
+    """
+    m = coefficient_modulus(coefficients)
     if not C.in_range(n):
         return HomologySummary(n, 0, ())
-    d_out = C.boundary(n + 1).transpose()   # C^n -> C^{n+1}
-    d_in = C.boundary(n).transpose()        # C^{n-1} -> C^n
-    if kind == "Q":
-        rank_n = C.rank(n)
-        betti = rank_n - smith_normal_form(d_out).rank() \
-            - smith_normal_form(d_in).rank()
+    r_in, ext = C.boundary_invariants(n)
+    r_out, hom = C.boundary_invariants(n + 1)
+    betti = C.rank(n) - r_in - r_out
+    if m is None:
         return HomologySummary(n, betti, ())
-    ranks = [C.rank(d) for d in (n - 1, n, n + 1)]
-    if kind == "Z":
-        groups = [Presentation.free(r) for r in ranks]
-    else:  # Z/m: m*id relations throughout
-        groups = [Presentation(r, m * IntMatrix.identity(r)) for r in ranks]
-    return presented_cohomology_at(groups, [d_in, d_out], n)
+    if m == 0:
+        return HomologySummary(n, betti, ext)
+    free = (m,) * betti if m > 1 else ()
+    return HomologySummary(
+        n, 0, _invariant_factors(math.gcd(t, m) for t in hom + ext) + free)
 
 
 def solve_boundary(C: FinChainComplex, c, n: int):

@@ -18,10 +18,12 @@ import itertools
 from dataclasses import dataclass, field
 
 from .exact import (
+    ExactAlgebraError,
     HomologySummary,
     IntMatrix,
     Presentation,
     cohomology as complex_cohomology,
+    coefficient_modulus,
     cokernel_witness,
     direct_sum,
     hom_cokernel,
@@ -58,14 +60,14 @@ class CoverCapExceeded(SheafError):
 
 
 def coefficient_presentation(coeff) -> Presentation:
-    if coeff[0] == "Z":
-        return Presentation.free(1)
-    if coeff[0] == "Zmod":
-        m = coeff[1]
-        if m <= 0:
-            raise SheafError("modulus must be a positive integer")
-        return Presentation.cyclic(m)
-    raise SheafError(f"unsupported coefficient descriptor {coeff!r}")
+    """Z for ``ZCOEFF``, Z/m for ``("Zmod", m)``; anything else is refused."""
+    try:
+        m = coefficient_modulus(coeff)
+    except ExactAlgebraError as exc:
+        raise SheafError(str(exc)) from exc
+    if m is None:
+        raise SheafError(f"unsupported coefficient descriptor {coeff!r}")
+    return Presentation.cyclic(m)
 
 
 class Presheaf:

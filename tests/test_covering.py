@@ -8,6 +8,7 @@ verdict and failures of a full validation."""
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -326,3 +327,46 @@ def test_uid_is_computed_on_first_read(monkeypatch):
     data = small_chain_projection(2, ball_nesting(3, Fraction(1, 2)),
                                   n_cap=3)
     assert data.covering.uid == reference_uid(data.covering)
+
+
+def subset_walk_identity(cov, key):
+    """Every nonempty subface of key assigned and pinned at its barycenter,
+    checked by walking all of them."""
+    order = cov.complex.order(key)
+    for size in range(1, len(order) + 1):
+        for sub in itertools.combinations(order, size):
+            sk = frozenset(sub)
+            if sk not in cov.assignments or cov.t(sk) != \
+                    cov.realization.barycenter(cov.complex.order(sk)):
+                return False
+    return True
+
+
+def test_identity_verdicts_equal_the_subset_walk():
+    coverings = []
+    for k in (1, 2):
+        for sq_radius in (Fraction(2), Fraction(1, 2)):
+            data = small_chain_projection(
+                k, ball_nesting(k + 1, sq_radius), n_cap=3)
+            coverings.append(data.covering)
+    # one vertex's target moved off its own point
+    cov = coverings[-1]
+    vertex = next(key for key in cov.complex.all_faces() if len(key) == 1
+                  and subset_walk_identity(cov, key))
+    moved = dict(cov.assignments)
+    w, t = moved[vertex]
+    moved[vertex] = (w, tuple(c + Fraction(1, 7) for c in t))
+    coverings.append(CompatibleCovering(cov.complex, cov.realization, moved))
+    seen = set()
+    for cov in coverings:
+        fresh = CompatibleCovering(cov.complex, cov.realization,
+                                   cov.assignments)
+        faces = cov.complex.all_faces()
+        verdicts = {key: fresh.is_identity_on(key) for key in faces}
+        assert verdicts == {key: subset_walk_identity(cov, key)
+                            for key in faces}
+        seen.update(verdicts.values())
+    assert seen == {True, False}
+    # on the last covering the moved vertex fails every face that holds it
+    assert not any(v for key, v in verdicts.items() if vertex <= key)
+    assert any(verdicts.values())

@@ -1,9 +1,12 @@
+import collections
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from nestrix import exact, sheaves
 from nestrix.exact import (
     DegreeRangeError,
     ExactAlgebraError,
@@ -37,7 +40,11 @@ from nestrix.exact import (
     QCOEFF,
     _min_pivot,
 )
-from nestrix.simplicial import random_complex
+from nestrix.simplicial import (
+    OrderedSimplicialComplex,
+    random_complex,
+    subdivide,
+)
 
 
 def rational_rank(mat: IntMatrix) -> int:
@@ -346,6 +353,143 @@ class TestHomology:
             assert h.free_rank == betti
 
 
+def uct_complexes():
+    """Small complexes with torsion in and below the top degree, and 12
+    seeded random simplicial complexes."""
+    return [
+        hollow_triangle(), full_triangle(), two_torsion(),
+        # H_0 = Z/2 + Z/12
+        FinChainComplex({0: 2, 1: 2}, {1: IntMatrix.diagonal([4, 6])}),
+        # H_1 = Z/2 sits below degree 2
+        FinChainComplex({0: 1, 1: 1, 2: 1},
+                        {1: IntMatrix(1, 1, [0]), 2: IntMatrix(1, 1, [2])}),
+    ] + [random_complex(seed, max_facets=8, max_dim=2).chain_complex()
+         for seed in range(12)]
+
+
+def diagonal_complex(t, s):
+    """H_0 = the sum of Z/a for a in t, H_1 = the sum of Z/b for b in s."""
+    p, q = len(t), len(s)
+    d1 = IntMatrix.diagonal(t).hstack(IntMatrix.zeros(p, q))
+    d2 = IntMatrix.zeros(q, p).hstack(IntMatrix.diagonal(s)).transpose()
+    return FinChainComplex({0: p, 1: p + q, 2: q}, {1: d1, 2: d2})
+
+
+def torsion_complexes():
+    """Hand-set torsion coprime and not coprime to 4, 6 and 12, then seeded
+    complexes with d2 = (kernel of a random d1) * picks * s for s in
+    2, 3, 4, 6."""
+    complexes = [diagonal_complex([5, 4, 6], [3, 10, 12]),
+                 diagonal_complex([7, 35], [6, 12]),
+                 diagonal_complex([4, 6], [25])]
+    rng = random.Random(1602)
+    while len(complexes) < 43:
+        r0, r1 = rng.randint(1, 4), rng.randint(2, 6)
+        d1 = IntMatrix(r0, r1, [rng.randint(-3, 3) for _ in range(r0 * r1)])
+        K = kernel_basis(d1)
+        if K.cols == 0:
+            continue
+        r2 = rng.randint(1, 3)
+        scale = rng.choice((2, 3, 4, 6))
+        picks = [[scale * rng.randint(-2, 2) for _ in range(r2)]
+                 for _ in range(K.cols)]
+        d2 = K * IntMatrix(K.cols, r2, picks)
+        complexes.append(
+            FinChainComplex({0: r0, 1: r1, 2: r2}, {1: d1, 2: d2}))
+    return complexes
+
+
+def presented_homology(C, n):
+    """H_n through presented groups: the middle of free C_{n+1}, C_n,
+    C_{n-1}."""
+    groups = [Presentation.free(C.rank(d)) for d in (n + 1, n, n - 1)]
+    return presented_cohomology_at(
+        groups, [C.boundary(n + 1), C.boundary(n)], n)
+
+
+def presented_cohomology(C, m, n):
+    """H^n(Z) for m = 0, else H^n(Z/m), on free or m*I presented cochains."""
+    if not C.in_range(n):
+        return exact.HomologySummary(n, 0, ())
+    ranks = [C.rank(d) for d in (n - 1, n, n + 1)]
+    groups = [Presentation(r, m * IntMatrix.identity(r)) if m
+              else Presentation.free(r) for r in ranks]
+    return presented_cohomology_at(
+        groups, [C.boundary(n).transpose(), C.boundary(n + 1).transpose()], n)
+
+
+MODULI = (1, 2, 3, 4, 6, 12)
+
+
+def test_invariants_match_presented_groups():
+    met = collections.defaultdict(set)   # m -> {coprime torsion?}
+    for C in uct_complexes() + torsion_complexes():
+        for n in range(C.min_degree, C.max_degree + 1):
+            assert homology(C, n) == presented_homology(C, n)
+        for n in range(C.min_degree - 1, C.max_degree + 2):
+            assert cohomology(C, ZCOEFF, n) == presented_cohomology(C, 0, n)
+            betti = (C.rank(n) - rational_rank(C.boundary(n))
+                     - rational_rank(C.boundary(n + 1))) \
+                if C.in_range(n) else 0
+            assert cohomology(C, QCOEFF, n) == \
+                exact.HomologySummary(n, betti, ())
+            for m in MODULI:
+                assert cohomology(C, zmod(m), n) == \
+                    presented_cohomology(C, m, n), (m, n)
+            if C.in_range(n):
+                for t in homology(C, n).torsion:
+                    for m in MODULI:
+                        met[m].add(math.gcd(t, m) == 1)
+    for m in (4, 6, 12):
+        assert met[m] == {True, False}, m
+
+
+BAD_COEFFICIENTS = ["Zmod", ("Zmod", True), ("Zmod", 2.0), ("Zmod", "2"),
+                    ("Zmod",), ("Z", 5), ("Zmod", 2, 3), ("Zmod", 0),
+                    ("Zmod", -2), ["Zmod", 2], None]
+
+
+@pytest.mark.parametrize("bad", BAD_COEFFICIENTS, ids=repr)
+def test_bad_coefficients_rejected(bad):
+    with pytest.raises(ExactAlgebraError):
+        cohomology(hollow_triangle(), bad, 1)
+    with pytest.raises(sheaves.SheafError):
+        sheaves.coefficient_presentation(bad)
+
+
+def test_coefficient_descriptors():
+    assert cohomology(hollow_triangle(), zmod(1), 1).is_trivial()
+    assert sheaves.coefficient_presentation(ZCOEFF) == Presentation.free(1)
+    assert sheaves.coefficient_presentation(zmod(3)) == Presentation.cyclic(3)
+    with pytest.raises(sheaves.SheafError):
+        sheaves.coefficient_presentation(QCOEFF)
+
+
+def test_sweep_runs_one_smith_form_per_boundary(monkeypatch):
+    K = subdivide(OrderedSimplicialComplex.standard_simplex(3)).complex
+    calls = []
+    real = exact.smith_normal_form
+
+    def counted(A):
+        calls.append((A.rows, A.cols))
+        return real(A)
+
+    monkeypatch.setattr(exact, "smith_normal_form", counted)
+    for _ in range(2):
+        C = K.chain_complex()
+        degrees = range(C.min_degree, C.max_degree + 2)
+        shapes = {(C.rank(n - 1), C.rank(n)): n for n in degrees}
+        assert len(shapes) == len(degrees)
+        calls.clear()
+        for n in range(C.min_degree, C.max_degree + 1):
+            homology(C, n)
+            for coefficients in (ZCOEFF, zmod(2), QCOEFF):
+                cohomology(C, coefficients, n)
+        # each call is one degree's boundary, and no degree comes twice
+        assert calls and set(calls) <= set(shapes)
+        assert len(calls) == len(set(calls))
+
+
 class TestCohomology:
     def test_hollow_triangle_z(self):
         h = cohomology(hollow_triangle(), ZCOEFF, 1)
@@ -374,16 +518,7 @@ class TestCohomology:
         # torsion of H_{n-1}; H^n(Z/p) is (Z/p)^k with
         # k = b_n + t_p(H_n) + t_p(H_{n-1}), where t_p counts the torsion
         # coefficients divisible by p
-        complexes = [
-            hollow_triangle(), full_triangle(), two_torsion(),
-            # H_0 = Z/2 + Z/12
-            FinChainComplex({0: 2, 1: 2}, {1: IntMatrix.diagonal([4, 6])}),
-            # H_1 = Z/2 sits below degree 2
-            FinChainComplex({0: 1, 1: 1, 2: 1},
-                            {1: IntMatrix(1, 1, [0]), 2: IntMatrix(1, 1, [2])}),
-        ] + [random_complex(seed, max_facets=8, max_dim=2).chain_complex()
-             for seed in range(12)]
-        for C in complexes:
+        for C in uct_complexes():
             for n in range(C.min_degree, C.max_degree + 1):
                 hn = homology(C, n)
                 prev = homology(C, n - 1).torsion \
