@@ -10,20 +10,29 @@ realized complex a convex covering set W and a target point t subject to
 
 plus containment of the face and its target in the covering set.  The
 validator checks every condition exactly (three-valued region inclusion,
-undecided fails closed).  ``find_covering`` searches for the least
-subdivision depth at which a covering exists, pinning targets at
+undecided fails closed), and it alone makes a candidate a compatible
+covering: no construction here is trusted without it.
+
+``find_covering`` searches for the least subdivision depth at which a
+candidate validates.  Every face gets its own hull; targets sit at
 barycenters when possible (the deformation is then the identity) and at
-lead vertices otherwise.  On top of that sit the mapping cylinder, the
-cylinder covering with its pinned top, and the
-projection-plus-homotopy data whose identities drive the small-chain
-boundary constructions.
+lead vertices otherwise.  A seed is a face set: faces carried by it keep
+their own barycenters under either strategy.
+
+The mapping cylinder glues the simplex to a prism over its small-chain
+subcomplex (L), subdivides L n times and stacks the n-step prism T_n on
+[1, 2].  ``cylinder_covering`` seeds the search on L with the faces that
+touch the top of the first prism, builds the depth-n cylinder once from
+the search's own subdivision, and covers the faces of T_n above the seam;
+its top is pinned at barycenters.  The projection-plus-homotopy data whose
+identities drive the small-chain boundary constructions sit on top.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import frac, frac_str
@@ -239,22 +248,6 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
     return CoveringValidation(not failures, failures)
 
 
-def glue_coverings(a: CompatibleCovering, b: CompatibleCovering
-                   ) -> CompatibleCovering:
-    """Union of two coverings agreeing on shared faces."""
-    merged = dict(a.assignments)
-    for k, (w, t) in b.assignments.items():
-        if k in merged:
-            if merged[k][0] != w or merged[k][1] != t:
-                raise CoveringError(
-                    f"coverings disagree on {a.complex.order(k)}")
-        merged[k] = (w, t)
-    union = a.complex.union(b.complex)
-    coords = dict(a.realization.coords)
-    coords.update(b.realization.coords)
-    return CompatibleCovering(union, Realization(coords), merged)
-
-
 # ---------------------------------------------------------------------------
 # the covering search
 
@@ -273,13 +266,9 @@ class CoveringSearchResult:
 def _candidate_covering(cx, R, carrier, seed, strategy):
     assignments = {}
     for key in cx.all_faces():
-        if seed is not None and carrier[key] in seed.faces():
-            par = carrier[key]
-            assignments[key] = (seed.W(par), seed.t(par))
-            continue
         order = cx.order(key)
         pts = [R.point(v) for v in order]
-        if strategy == "barycenter" or len(order) == 1:
+        if strategy == "barycenter" or len(order) == 1 or carrier[key] in seed:
             t = R.barycenter(order)
         else:
             t = pts[0]
@@ -288,25 +277,23 @@ def _candidate_covering(cx, R, carrier, seed, strategy):
 
 
 def find_covering(K: OrderedSimplicialComplex, R: Realization,
-                  eta: NestingOracle, seed: CompatibleCovering | None = None,
+                  eta: NestingOracle, seed=frozenset(),
                   n_cap=6) -> CoveringSearchResult:
     """Least subdivision depth admitting a valid covering.
 
-    New faces get their own convex hull as covering set, with the target
-    pinned at the barycenter when that validates (making the deformation
-    the identity there) and at the lead vertex otherwise.  Faces whose
-    carrier lies in the seed inherit the seed data unchanged.
+    Every face of S^n(K) gets its own convex hull as covering set.  Its
+    target is the barycenter under the first strategy (the deformation is
+    then the identity) and the lead vertex under the second, except that a
+    face whose carrier lies in ``seed``, an upward-closed set of faces of
+    K, keeps its barycenter under both.  A candidate is returned only when
+    ``validate_covering`` passes it in full.
     """
     check_depth(n_cap, "subdivision cap n_cap", CoveringError)
-    if seed is not None:
-        for k in seed.faces():
-            if k not in K.faces:
-                raise CoveringError("seed assigns a face outside the complex")
-        # seed must be upwards closed: any face containing a seed face is seeded
-        for k in seed.faces():
-            for other in K.faces:
-                if k < other and other not in seed.faces():
-                    raise CoveringError("seed face set is not upwards closed")
+    seed = {frozenset(k) for k in seed}
+    if not seed <= K.faces.keys():
+        raise CoveringError("seed names a face outside the complex")
+    if any(k < other and other not in seed for k in seed for other in K.faces):
+        raise CoveringError("seed face set is not upwards closed")
     attempts = []
     levels = subdivision_levels(K)
     for n in range(n_cap + 1):
@@ -357,7 +344,6 @@ class MappingCylinder:
     prism_homotopy: dict                       # P values on accepted faces
     tn_homotopy: dict                          # relabeled T_n values
     level0: dict                               # face of simplex -> face of L
-    seam_faces: set
 
 
 def _accepted_subcomplex(K, R, eta):
@@ -396,61 +382,60 @@ def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
         PK, P = prism_complex(accepted, 0, 1)
         L = L.union(PK)
         prism_values = P.values
-    base_coords = dict(base_real.coords)
-    L_real = Realization({v: resolve_vertex(v, base_coords)
-                          for key in L.faces for v in key})
-
+    L_real = Realization({v: resolve_vertex(v, base_real.coords)
+                          for v in L.vertices()})
     subs, chain_map, carrier = iterate_subdivide(L, n)
-    Ln = subs[-1].complex if subs else L
-    Ln_real = Realization({v: resolve_vertex(v, base_coords)
-                           for key in Ln.faces for v in key})
-
-    tn_values = {}
-    seam_faces = set()
-    if accepted.faces:
-        if n == 0:
-            # T_0 is the degenerate cylinder: glue the plain prism on [1, 2]
-            TnK, Tn = prism_complex(accepted, 1, 2)
-        else:
-            TnK, Tn, _ = t_n_complex(accepted, n, 1, 2)
-        seam_b = level_subcomplex(TnK, 1)
-        seam_a = Ln.restrict_vertices(lambda v: Ln_real.point(v)[-1] == 1)
-        # realize the T_n part: vertices are (w, level) pairs over the
-        # accepted subcomplex; resolve through the base coordinates
-        tn_real = Realization({v: resolve_vertex(v, base_coords)
-                               for key in TnK.faces for v in key})
-        bij = _coordinate_bijection(seam_a, Ln_real, seam_b, tn_real)
-
-        def rename(v):
-            return bij.get(v, v)
-
-        TnR = TnK.relabel(rename)
-        # the seam must agree face-by-face, orderings included
-        for key in seam_b.faces:
-            nk = frozenset(rename(v) for v in key)
-            if nk not in seam_a.faces or \
-                    tuple(rename(v) for v in seam_b.order(key)) != \
-                    seam_a.order(nk):
-                raise CoveringError("cylinder seam mismatch")
-        seam_faces = set(seam_a.faces)
-        Ln = Ln.union(TnR)
-        Ln_real = Realization({v: resolve_vertex(v, base_coords)
-                               for key in Ln.faces for v in key})
-        for key, chain in Tn.values.items():
-            tn_values[key] = {frozenset(rename(v) for v in kk): c
-                              for kk, c in chain.items()}
-
+    Sn = subs[-1].complex if subs else L
     q = AffineMap.projection_drop_last(k + 2)
-    q_eta = pullback(q, eta)
-    return MappingCylinder(
+    return _stacked(MappingCylinder(
         k=k, n=n, eta=eta, base_complex=base, base_realization=base_real,
-        accepted=accepted, L=L, L_realization=L_real, Ln=Ln,
-        Ln_realization=Ln_real, q=q, q_eta=q_eta, sub_chain_map=chain_map,
-        sub_carrier=carrier, prism_homotopy=prism_values,
-        tn_homotopy=tn_values, level0=level0, seam_faces=seam_faces)
+        accepted=accepted, L=L, L_realization=L_real, Ln=Sn,
+        Ln_realization=L_real.extended_to(Sn), q=q, q_eta=pullback(q, eta),
+        sub_chain_map=chain_map, sub_carrier=carrier,
+        prism_homotopy=prism_values, tn_homotopy={}, level0=level0))
 
 
-def _base_face_of(cyl: MappingCylinder, key):
+def _stacked(cyl: MappingCylinder) -> MappingCylinder:
+    """``cyl``, whose Ln is S^n(L) so far, with T_n of the accepted
+    subcomplex on [1, 2] glued on along level 1.
+
+    T_n names the seam's vertices differently from S^n(L), so they are
+    matched by exact coordinates, and every seam face must come out with
+    the same ordering on both sides.
+    """
+    accepted, n, Ln, Ln_real = cyl.accepted, cyl.n, cyl.Ln, cyl.Ln_realization
+    if not accepted.faces:
+        return cyl
+    if n == 0:
+        # T_0 is the plain prism, oriented as T_n is: dT_0 + T_0 d = i_1 - i_2
+        TnK, Tn = prism_complex(accepted, 2, 1)
+    else:
+        TnK, Tn, _ = t_n_complex(accepted, n, 1, 2)
+    tn_real = Realization({v: resolve_vertex(v, cyl.base_realization.coords)
+                           for v in TnK.vertices()})
+    seam_b = level_subcomplex(TnK, 1)
+    seam_a = Ln.restrict_vertices(lambda v: Ln_real.point(v)[-1] == 1)
+    bij = _coordinate_bijection(seam_a, Ln_real, seam_b, tn_real)
+
+    def rename(v):
+        return bij.get(v, v)
+
+    for key in seam_b.faces:
+        nk = frozenset(rename(v) for v in key)
+        if nk not in seam_a.faces or \
+                tuple(rename(v) for v in seam_b.order(key)) != \
+                seam_a.order(nk):
+            raise CoveringError("cylinder seam mismatch")
+    coords = dict(Ln_real.coords)
+    coords.update((rename(v), p) for v, p in tn_real.coords.items())
+    tn_values = {key: {frozenset(rename(v) for v in kk): c
+                       for kk, c in chain.items()}
+                 for key, chain in Tn.values.items()}
+    return replace(cyl, Ln=Ln.union(TnK.relabel(rename)),
+                   Ln_realization=Realization(coords), tn_homotopy=tn_values)
+
+
+def _base_face_of(key):
     """Smallest face of the base simplex carrying a cylinder face."""
     def strip(v, acc):
         if is_bvertex(v):
@@ -470,64 +455,48 @@ def _base_face_of(cyl: MappingCylinder, key):
 def cylinder_covering(k, eta: NestingOracle, n_cap=6):
     """Covering of the stacked cylinder with the top pinned at barycenters.
 
-    Seeds the prism faces touching the top of the first prism with
-    base-face times full-interval sets, pushes the search through the
-    subdivision, and extends over the n-step prism; the two coverings
-    agree along the seam and glue.
+    The search runs on L with the faces that touch the top of the first
+    prism as its seed, so their subdivisions keep their own barycenters.
+    The depth-n cylinder is then stacked onto the depth-0 probe's simplex,
+    accepted subcomplex, L and prism from the search's own subdivision, so
+    ``mapping_cylinder`` runs once and L is subdivided once.  Seam faces
+    keep the search's data; each face of T_n above the seam gets its base
+    face times [0, 2] as covering set and the base face's barycenter at
+    its own height as target.
 
-    The search has validated the lower covering in full against
-    ``probe.q_eta``, so the glued covering is validated against that same
-    oracle object with the lower covering as already checked: only the
-    faces, nested pairs and chains that touch the n-step prism are tested
-    again, which gives the verdict and failures of a full validation.  At
-    depth 0 the probe is the cylinder and is not built a second time.
+    The exact validator decides whether the union is a compatible
+    covering.  The search has validated the lower covering in full against
+    ``probe.q_eta``, so the union is validated against that same oracle
+    object with the lower covering as already checked: only the faces,
+    nested pairs and chains that touch T_n above the seam are tested
+    again, which gives the verdict and failures of a full validation.
     """
     check_depth(n_cap, "subdivision cap n_cap", CoveringError)
     probe = mapping_cylinder(k, eta, 0)
-    accepted = probe.accepted
-    if not accepted.faces:
-        res = find_covering(probe.L, probe.L_realization, probe.q_eta,
-                            n_cap=n_cap)
-        cyl = probe if res.n == 0 else mapping_cylinder(k, eta, res.n)
-        return res.n, res.covering, cyl
+    R = probe.L_realization
+    seed = {key for key in probe.L.faces if any(R.point(v)[-1] == 1
+                                                for v in key)}
+    res = find_covering(probe.L, R, probe.q_eta, seed=seed, n_cap=n_cap)
+    cyl = probe if res.n == 0 else _stacked(replace(
+        probe, n=res.n, Ln=res.complex, Ln_realization=res.realization,
+        sub_chain_map=res.chain_map, sub_carrier=res.carrier))
 
     def prism_region(base_face):
         pts = []
         for v in sorted(base_face, key=vkey):
-            p = probe.base_realization.point(v)
+            p = cyl.base_realization.point(v)
             pts.append(p + (Fraction(0),))
             pts.append(p + (Fraction(2),))
         return Polytope(tuple(pts))
 
-    # seed: faces of the prism touching the top copy
-    seed_assign = {}
-    for key in probe.L.faces:
-        if any(probe.L_realization.point(v)[-1] == 1 for v in key):
-            base_face = _base_face_of(probe, key)
-            seed_assign[key] = (prism_region(base_face),
-                                probe.L_realization.barycenter(
-                                    probe.L.order(key)))
-    seed = CompatibleCovering(probe.L, probe.L_realization, seed_assign)
-    res = find_covering(probe.L, probe.L_realization, probe.q_eta,
-                        seed=seed, n_cap=n_cap)
-    n = res.n
-    cyl = probe if n == 0 else mapping_cylinder(k, eta, n)
-
-    # covering of the stacked prism part
-    upper_assign = {}
-    for key in cyl.Ln.faces:
-        if key in res.covering.assignments and key not in cyl.seam_faces:
-            continue
-        if all(cyl.Ln_realization.point(v)[-1] >= 1 for v in key) and \
-                any(cyl.Ln_realization.point(v)[-1] > 1 for v in key) or \
-                key in cyl.seam_faces:
-            base_face = _base_face_of(cyl, key)
-            bar = cyl.Ln_realization.barycenter(cyl.Ln.order(key))
-            t = cyl.base_realization.barycenter(
-                cyl.base_complex.order(base_face)) + (bar[-1],)
-            upper_assign[key] = (prism_region(base_face), t)
-    upper = CompatibleCovering(cyl.Ln, cyl.Ln_realization, upper_assign)
-    glued = glue_coverings(res.covering, upper)
+    assignments = dict(res.covering.assignments)
+    for key in cyl.Ln.faces.keys() - assignments.keys():
+        base_face = _base_face_of(key)
+        bar = cyl.Ln_realization.barycenter(cyl.Ln.order(key))
+        t = cyl.base_realization.barycenter(
+            cyl.base_complex.order(base_face)) + (bar[-1],)
+        assignments[key] = (prism_region(base_face), t)
+    glued = CompatibleCovering(cyl.Ln, cyl.Ln_realization, assignments)
     report = validate_covering(glued, probe.q_eta, checked=res.covering)
     if not report.passed:
         raise CoveringError(f"cylinder covering invalid: {report.first()!r}")
@@ -540,7 +509,7 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
                 top_pin_failures.append(key)
     if top_pin_failures:
         raise CoveringError("top faces not pinned at barycenters")
-    return n, glued, cyl
+    return res.n, glued, cyl
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +525,14 @@ class ProjectionData:
     pi: dict        # face of the simplex -> FormalChain (small chains)
     h0: dict        # accepted face -> FormalChain homotopy
     h: dict         # all faces -> FormalChain (after the extension)
+
+
+def _cylinder_homotopy(cyl: MappingCylinder, key):
+    """S^n P - T_n on an accepted face, a chain of ``cyl.Ln``: the
+    homotopy dh + hd = i_2 - S^n i_0 in the cylinder, before the
+    deformation flattens it."""
+    snp = cyl.sub_chain_map.apply(cyl.prism_homotopy[key])
+    return add_into(snp, cyl.tn_homotopy[key], -1)
 
 
 def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
@@ -581,11 +558,8 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
         sub_chain = cyl.sub_chain_map.values[lv]
         pi[key] = delta_prime_chain(sub_chain)
 
-    # h0 = delta' o (S^n P - T_n) on accepted faces
-    h0 = {}
-    for key in cyl.accepted.faces:
-        snp = cyl.sub_chain_map.apply(cyl.prism_homotopy[key])
-        h0[key] = delta_prime_chain(add_into(snp, cyl.tn_homotopy[key], -1))
+    h0 = {key: delta_prime_chain(_cylinder_homotopy(cyl, key))
+          for key in cyl.accepted.faces}
 
     # extension over the remaining faces by cone fillers
     h = dict(h0)

@@ -525,13 +525,12 @@ class HomologySummary:
                 and self.torsion == other.torsion)
 
 
-def summary_from_relations(degree, ambient_rank, relations: IntMatrix,
-                           snf=None) -> HomologySummary:
+def summary_from_relations(degree, ambient_rank, relations: IntMatrix
+                           ) -> HomologySummary:
     """Summary of Z^ambient_rank / column-span(relations)."""
     if relations.rows != ambient_rank:
         raise ExactAlgebraError("relations live in the wrong ambient")
-    if snf is None:
-        snf = smith_normal_form(relations)
+    snf = smith_normal_form(relations)
     return HomologySummary(degree, ambient_rank - snf.rank(), snf.torsion())
 
 

@@ -1,15 +1,18 @@
 """The small-chain projection and the boundary construction, checked
 against the identities that define them: pi fixes vertices and is a chain
 map, dh + hd = id - pi on every face, pi lands in small chains, and the
-boundary construction returns a small x with dx = d(sigma).  The cylinder's
-glued covering, validated only where it touches the n-step prism, gets the
-verdict and failures of a full validation."""
+boundary construction returns a small x with dx = d(sigma).  S^n P - T_n is
+checked as a homotopy in the cylinder itself, before the deformation
+flattens it.  The cylinder's glued covering, validated only where it
+touches the n-step prism, gets the verdict and failures of a full
+validation."""
 
 import collections
 import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,36 +69,118 @@ def assert_projection_identities(data, eta):
         assert chain_in_c_eta(pi, eta) is True, order
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("sq_radius, depth",
-                         [(Fraction(2), 0), (Fraction(1, 2), 1)])
-def test_projection_identities(k, sq_radius, depth):
-    eta = ball_nesting(k + 1, sq_radius)
-    data = small_chain_projection(k, eta, n_cap=3)
+SEGMENT = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+
+
+def projection_run(monkeypatch, k, sq_radius):
+    """(data, eta) of small_chain_projection(k, ball nesting, n_cap=3).
+
+    k = "segment" takes the projection that boundary_in_small_chains makes
+    for SEGMENT, with its pulled-back nesting, and checks the x it returns.
+    """
+    if k != "segment":
+        eta = ball_nesting(k + 1, sq_radius)
+        return small_chain_projection(k, eta, n_cap=3), eta
+    runs = []
+    project = covering.small_chain_projection
+
+    def spy(k, eta, n_cap):
+        runs.append((project(k, eta, n_cap), eta))
+        return runs[-1][0]
+
+    monkeypatch.setattr(covering, "small_chain_projection", spy)
+    eta = ball_nesting(2, sq_radius)
+    x = boundary_in_small_chains(SEGMENT, eta, n_cap=3)
+    assert x.boundary() == FormalChain.single(AffineSimplex(SEGMENT)).boundary()
+    assert chain_in_c_eta(x, eta) is True
+    (run,) = runs
+    return run
+
+
+# squared ball radius -> dimension of the largest faces it accepts
+TOP_ACCEPTED = {Fraction(2): 2, Fraction(3, 4): 2, Fraction(2, 3): 1,
+                Fraction(3, 5): 1, Fraction(51, 100): 1, Fraction(1, 2): 0,
+                Fraction(1, 8): 0, Fraction(1, 40): 0, Fraction(1, 100): 0}
+
+
+def accepted_sizes(cyl):
+    """Number of accepted faces with 1, 2, ... vertices."""
+    sizes = collections.Counter(len(key) for key in cyl.accepted.faces)
+    return tuple(sizes[i] for i in range(1, max(sizes) + 1))
+
+
+def assert_projection_run(data, eta, k, sq_radius, depth):
     assert data.n == depth
+    # faces of one dimension are congruent in the symmetric chart, so the
+    # nesting accepts all of them or none
+    top = min(k, TOP_ACCEPTED[sq_radius])
+    sizes = tuple(math.comb(k + 1, i + 1) for i in range(top + 1))
+    assert accepted_sizes(data.cyl) == sizes
     assert_projection_identities(data, eta)
 
 
-@pytest.mark.xfail(strict=True, raises=CoveringError,
-                   reason="zero-face-pin: subdivision vertices inherit the "
-                          "seed's barycenter target, so depth 2 never "
-                          "validates")
-def test_projection_at_depth_two():
-    eta = ball_nesting(2, Fraction(1, 8))
-    data = small_chain_projection(1, eta, n_cap=3)
-    assert_projection_identities(data, eta)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sq_radius, depth", [
+    (Fraction(2), 0), (Fraction(1, 2), 1), (Fraction(1, 8), 2),
+    (Fraction(51, 100), 1), (Fraction(3, 5), 1), (Fraction(2, 3), 1),
+    (Fraction(3, 4), 1)])
+def test_projection_identities(monkeypatch, k, sq_radius, depth):
+    data, eta = projection_run(monkeypatch, k, sq_radius)
+    assert_projection_run(data, eta, k, sq_radius, depth)
+
+
+@pytest.mark.parametrize("k, sq_radius, depth", [
+    (1, Fraction(1, 40), 3), (1, Fraction(1, 100), 3),
+    ("segment", Fraction(3, 4), 1)], ids=str)
+def test_projection_identities_at_depth_three_and_pulled_back(
+        monkeypatch, k, sq_radius, depth):
+    data, eta = projection_run(monkeypatch, k, sq_radius)
+    assert_projection_run(data, eta, 1, sq_radius, depth)
+
+
+@pytest.mark.parametrize("k, sq_radius, n", [
+    (k, r, n) for k in (1, 2) for r in (Fraction(1, 8), Fraction(3, 5))
+    for n in range(4) if (k, r, n) != (2, Fraction(3, 5), 3)
+] + [(2, Fraction(3, 4), n) for n in (0, 1)], ids=str)
+def test_cylinder_homotopy_before_deformation(k, sq_radius, n):
+    """h = S^n P - T_n satisfies dh + hd = i_2 - S^n i_0 on every accepted
+    face, on chains of Ln, where no prism simplex is flattened yet."""
+    cyl = mapping_cylinder(k, ball_nesting(k + 1, sq_radius), n)
+    assert cyl.accepted.faces
+
+    def h(key):
+        return covering._cylinder_homotopy(cyl, key)
+
+    for key in cyl.accepted.faces:
+        lhs = cyl.Ln.boundary_chain(h(key))
+        for sub, c in cyl.accepted.boundary_of_face(key).items():
+            simplicial.add_into(lhs, h(sub), c)
+        want = {frozenset((v, 2) for v in key): 1}
+        simplicial.add_into(want, cyl.sub_chain_map.values[cyl.level0[key]],
+                            -1)
+        assert lhs == want, cyl.accepted.order(key)
 
 
 def test_search_failure_keeps_every_attempt():
     eta = ball_nesting(2, Fraction(1, 8))
     with pytest.raises(CoveringError) as info:
-        small_chain_projection(1, eta, n_cap=3)
+        small_chain_projection(1, eta, n_cap=1)
     attempts = info.value.attempts
-    assert [(n, strategy) for n, strategy, _ in attempts] == [
-        (n, strategy) for n in range(4) for strategy in ("barycenter",
-                                                         "vertex")]
-    assert attempts[-1][2][0] == "zero-face-pin"
-    assert "zero-face-pin" in str(info.value)
+    assert [(n, strategy, failure[0]) for n, strategy, failure in attempts] \
+        == [(n, strategy, "chain-region") for n in range(2)
+            for strategy in ("barycenter", "vertex")]
+    assert f"last failure: {attempts[-1]!r}" in str(info.value)
+
+
+def test_seed_must_be_upward_closed_faces_of_the_complex():
+    K, R = delta_complex(1)
+    eta = ball_nesting(2, Fraction(2))
+    with pytest.raises(CoveringError, match="outside the complex"):
+        find_covering(K, R, eta, seed=[{0, 2}])
+    with pytest.raises(CoveringError, match="not upwards closed"):
+        find_covering(K, R, eta, seed=[{0}])
+    res = find_covering(K, R, eta, seed=[{0}, {0, 1}])
+    assert res.n == 0
 
 
 def test_search_subdivides_once_per_depth(monkeypatch):
@@ -132,22 +217,23 @@ TRIANGLE = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1))]
 
 
-def test_cylinder_built_once_at_depth_zero(monkeypatch):
+def record_calls(monkeypatch, module, name):
+    """The arguments of every later call to ``module.name``."""
     calls = []
-    build = covering.mapping_cylinder
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return build(*args)
+        return real(*args)
 
-    monkeypatch.setattr(covering, "mapping_cylinder", counted)
-    eta = ball_nesting(3, Fraction(2))
-    n, glued, cyl = cylinder_covering(2, eta, n_cap=3)
-    assert n == 0 and calls == [(2, eta, 0)]
-    boundary_in_small_chains(TRIANGLE, ball_nesting(2, Fraction(1)), n_cap=3)
-    assert len(calls) == 2
-    monkeypatch.undo()
-    fresh = mapping_cylinder(2, eta, 0)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_fresh_cylinder(k, eta, n, glued, cyl):
+    """cyl equals a fresh mapping_cylinder(k, eta, n) field by field, and
+    the glued covering validates in full against the fresh oracle."""
+    fresh = mapping_cylinder(k, eta, n)
     for f in dataclasses.fields(fresh):
         if f.name == "q_eta":       # a new oracle closure on every build
             continue
@@ -156,6 +242,34 @@ def test_cylinder_built_once_at_depth_zero(monkeypatch):
             got, want = got.coords, want.coords
         assert got == want, f.name
     assert validate_covering(glued, fresh.q_eta).passed
+
+
+def test_cylinder_built_once_at_depth_zero(monkeypatch):
+    calls = record_calls(monkeypatch, covering, "mapping_cylinder")
+    eta = ball_nesting(3, Fraction(2))
+    n, glued, cyl = cylinder_covering(2, eta, n_cap=3)
+    assert n == 0 and calls == [(2, eta, 0)]
+    boundary_in_small_chains(TRIANGLE, ball_nesting(2, Fraction(1)), n_cap=3)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert_fresh_cylinder(2, eta, 0, glued, cyl)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sq_radius, depth", [
+    (Fraction(1, 2), 1), (Fraction(3, 5), 1), (Fraction(1, 8), 2)], ids=str)
+def test_cylinder_built_once_at_depth(monkeypatch, k, sq_radius, depth):
+    builds = record_calls(monkeypatch, covering, "mapping_cylinder")
+    subdivided = record_calls(monkeypatch, simplicial, "subdivide")
+    eta = ball_nesting(k + 1, sq_radius)
+    n, glued, cyl = cylinder_covering(k, eta, n_cap=3)
+    monkeypatch.undo()
+    assert n == depth and builds == [(k, eta, 0)]
+    # L (it holds the vertex (0, 0)) is subdivided once per level, and T_n
+    # subdivides the accepted subcomplex once per level of its own
+    lower = [K for (K,) in subdivided if frozenset({(0, 0)}) in K.faces]
+    assert len(lower) == n and len(subdivided) == 2 * n
+    assert_fresh_cylinder(k, eta, n, glued, cyl)
 
 
 def glued_validations(monkeypatch, run):
