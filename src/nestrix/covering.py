@@ -10,7 +10,8 @@ realized complex a convex covering set W and a target point t subject to
 
 plus containment of the face and its target in the covering set.  The
 validator checks every condition exactly (three-valued region inclusion,
-undecided fails closed), and it alone makes a candidate a compatible
+undecided fails closed) in one walk over each face's chains, reporting
+failures in face order, and it alone makes a candidate a compatible
 covering: no construction here is trusted without it.
 
 ``find_covering`` searches for the least subdivision depth at which a
@@ -38,6 +39,7 @@ from fractions import Fraction
 from .exact import frac, frac_str
 from .nesting import (
     NestingOracle,
+    face_chains_to_top,
     face_in_c_eta,
     in_c_eta,
     pullback,
@@ -161,25 +163,6 @@ class CoveringValidation:
         return self.failures[0] if self.failures else None
 
 
-def _chains_within(complex_, face_set):
-    """Strict ascending face chains inside the given face set."""
-    face_set = {frozenset(k) for k in face_set}
-    by_face = {k: [a for a in face_set if k < a] for k in face_set}
-    chains = []
-
-    def rec(chain):
-        chains.append(tuple(chain))
-        for nxt in by_face[chain[-1]]:
-            if chain[-1] < nxt:
-                chain.append(nxt)
-                rec(chain)
-                chain.pop()
-
-    for k in sorted_faces(face_set):
-        rec([k])
-    return chains
-
-
 def _settled_faces(covering: CompatibleCovering, checked: CompatibleCovering):
     """Faces ``checked`` assigns the same (W, t) on the same vertex points."""
     R, Rc = covering.realization, checked.realization
@@ -193,28 +176,36 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
                       ) -> CoveringValidation:
     """All covering conditions, exactly; undecided inclusions fail closed.
 
-    One cache of membership and inclusion verdicts (see
+    One walk decides conditions ii and iii.  Each assigned face ``top``,
+    in face order, enumerates the strict face chains ending at it
+    (``nesting.face_chains_to_top``), skipping those with a face outside
+    the covering; a chain of two faces is a nested pair (condition ii),
+    and every chain gets the condition-iii test.  Failures come out as
+    condition i, then ii, then iii, each in face order, whatever the hash
+    seed.  One cache of membership and inclusion verdicts (see
     ``regions.contains_point`` and ``regions.region_contains``) lives for
-    the length of the call and is dropped with it, so nothing outlives the
-    validation.
+    the length of the call, so nothing outlives the validation.
 
     ``checked`` is for a caller that extends a covering which already
     passed this validation against the same ``eta`` object (the cylinder's
     lower part).  A face it assigns the same (W, t) on the same vertex
-    points is settled: a face condition on it, a nested pair of two such
-    faces and a chain of such faces each ask exactly the question that
-    ``checked``'s validation answered TRUE, so they are not asked again.
-    Everything that touches another face is checked in full, in the same
-    order, so the failures are those of a full validation.
+    points is settled: a face condition on it and a chain (pairs included)
+    of such faces each ask exactly the question that ``checked``'s
+    validation answered TRUE, so they are not asked again.  Everything
+    that touches another face is checked in full, in the same order, so
+    the failures are those of a full validation.
     """
-    failures = []
+    failures, nested, chained = [], [], []
     cache = {}
     settled = set() if checked is None else _settled_faces(covering, checked)
     cx = covering.complex
     R = covering.realization
-    faces = covering.faces()
-    for key in sorted_faces(faces - settled):
-        W, t = covering.assignments[key]
+    assigned = covering.assignments
+    faces = sorted_faces(assigned)
+    for key in faces:
+        if key in settled:
+            continue
+        W, t = assigned[key]
         order = cx.order(key)
         pts = [R.point(v) for v in order]
         if len(order) == 1 and t != pts[0]:
@@ -225,26 +216,33 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
         if res is not Tri.TRUE:
             failures.append(("face-in-set", {"face": order,
                                              "verdict": res.value}))
-    # condition ii on nested pairs
-    for a in faces:
-        for b in faces:
-            if b < a and not (a in settled and b in settled):
-                res = region_contains(covering.W(a), covering.W(b), cache)
+    chains_by_size = {}     # face size -> (index chains, index subsets)
+    for top in faces:
+        order = cx.order(top)
+        if len(order) not in chains_by_size:
+            chains = face_chains_to_top(order)
+            chains_by_size[len(order)] = chains, {s for c in chains for s in c}
+        chains, subsets = chains_by_size[len(order)]
+        face_of = {s: frozenset(order[i] for i in s) for s in subsets}
+        for chain in chains:
+            keys = [face_of[s] for s in chain]
+            if not all(k in assigned for k in keys) or \
+                    settled.issuperset(keys):
+                continue
+            W = assigned[keys[0]][0]
+            if len(keys) == 2:
+                res = region_contains(assigned[top][0], W, cache)
                 if res is not Tri.TRUE:
-                    failures.append(("nested-sets", {
-                        "small": cx.order(b), "large": cx.order(a),
+                    nested.append(("nested-sets", {
+                        "small": cx.order(keys[0]), "large": order,
                         "verdict": res.value}))
-    # condition iii on strict chains
-    for chain in _chains_within(cx, faces):
-        if settled.issuperset(chain):
-            continue
-        targets = [covering.t(k) for k in chain]
-        region = eta.region(targets)
-        res = region_contains(region, covering.W(chain[0]), cache)
-        if res is not Tri.TRUE:
-            failures.append(("chain-region", {
-                "chain": [cx.order(k) for k in chain],
-                "verdict": res.value}))
+            region = eta.region([assigned[k][1] for k in keys])
+            res = region_contains(region, W, cache)
+            if res is not Tri.TRUE:
+                chained.append(("chain-region", {
+                    "chain": [cx.order(k) for k in keys],
+                    "verdict": res.value}))
+    failures += nested + chained
     return CoveringValidation(not failures, failures)
 
 

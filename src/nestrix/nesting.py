@@ -103,12 +103,6 @@ class UniformBallRule:
     def descriptor(self):
         return ("uniform-ball", frac_str(self.sq_radius))
 
-    def pullback(self, f: AffineMap):
-        if f.cols_orthonormal():
-            # preimage of B(f(x), r) along an isometric injection is B(x, r)
-            return self
-        return PulledRule(self, f)
-
 
 @dataclass(frozen=True)
 class BallNetRule:
@@ -137,9 +131,6 @@ class BallNetRule:
             (tuple(frac_str(c) for c in b.center), frac_str(b.sq_radius))
             for b in self.balls))
 
-    def pullback(self, f):
-        return PulledRule(self, f)
-
 
 @dataclass(frozen=True)
 class MinimalOpenRule:
@@ -150,9 +141,6 @@ class MinimalOpenRule:
 
     def descriptor(self):
         return ("minimal-open", tuple(map(str, self.space.points)))
-
-    def pullback(self, f):
-        return PulledRule(self, f)
 
 
 @dataclass(frozen=True)
@@ -168,24 +156,6 @@ class TableRule:
     def descriptor(self):
         return ("table", tuple((str(p), tuple(map(str, region_descriptor(r))))
                                for p, r in self.table))
-
-    def pullback(self, f):
-        return PulledRule(self, f)
-
-
-@dataclass(frozen=True)
-class PulledRule:
-    base: object
-    map: AffineMap
-
-    def region_at(self, x):
-        return preimage_region(self.map, self.base.region_at(self.map.apply(x)))
-
-    def descriptor(self):
-        return ("pulled", self.base.descriptor(), self.map.descriptor())
-
-    def pullback(self, f):
-        return PulledRule(self.base, self.map.compose(f))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +180,6 @@ class NestingOracle:
         if out is None:
             out = self._memo[seq] = self._eval(seq)
         return out
-
-    def key(self):
-        return ("nesting", self.provenance, self.descriptor)
 
 
 def cover_generated(realm, rule) -> NestingOracle:
@@ -405,11 +372,6 @@ class AxiomViolation:
     sequence: tuple
     detail: str
 
-    def payload(self):
-        return {"axiom": self.axiom,
-                "sequence": [str(x) for x in self.sequence],
-                "detail": self.detail}
-
 
 @dataclass
 class AxiomReport:
@@ -524,9 +486,12 @@ def in_c_eta(points, eta: NestingOracle, proper_only=True, max_len=None) -> bool
     is inside the region at (b(sigma_1), ..., b(sigma_m)).  With
     ``proper_only`` false, bounded non-strict chains (not necessarily
     ending at the top) are checked as well; the two must agree, which is
-    property-tested.  An undecidable containment raises UnknownContainment.
+    property-tested.  An undecidable containment raises UnknownContainment,
+    and an empty point list raises NestingError.
     """
     points = [tuple(frac(c) for c in p) for p in points]
+    if not points:
+        raise NestingError("in_c_eta needs at least one point")
     k = len(points)
 
     def bary(idxs):

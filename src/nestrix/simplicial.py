@@ -614,6 +614,7 @@ def t_n_complex(K, n, a=0, b=1):
     bottom restriction is S^n(K) at level a, the top is K at level b;
     dT_n + T_n d = (i_a)_* S^n - (i_b)_*.
     """
+    check_depth(n)
     if n < 1:
         raise SimplicialError("t_n_complex needs n >= 1")
     a, b = frac(a), frac(b)

@@ -13,6 +13,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,14 +76,24 @@ SEGMENT = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
 
 
 def projection_run(monkeypatch, k, sq_radius):
-    """(data, eta) of small_chain_projection(k, ball nesting, n_cap=3).
+    """(data, eta, validations) of small_chain_projection(k, ball nesting,
+    n_cap=3), where validations lists the (covering, eta, checked) of every
+    covering validation the run made.
 
     k = "segment" takes the projection that boundary_in_small_chains makes
     for SEGMENT, with its pulled-back nesting, and checks the x it returns.
     """
+    validations = []
+    validate = covering.validate_covering
+
+    def spy_validate(cov, eta, checked=None):
+        validations.append((cov, eta, checked))
+        return validate(cov, eta, checked=checked)
+
+    monkeypatch.setattr(covering, "validate_covering", spy_validate)
     if k != "segment":
         eta = ball_nesting(k + 1, sq_radius)
-        return small_chain_projection(k, eta, n_cap=3), eta
+        return small_chain_projection(k, eta, n_cap=3), eta, validations
     runs = []
     project = covering.small_chain_projection
 
@@ -94,7 +107,7 @@ def projection_run(monkeypatch, k, sq_radius):
     assert x.boundary() == FormalChain.single(AffineSimplex(SEGMENT)).boundary()
     assert chain_in_c_eta(x, eta) is True
     (run,) = runs
-    return run
+    return (*run, validations)
 
 
 # squared ball radius -> dimension of the largest faces it accepts
@@ -109,7 +122,7 @@ def accepted_sizes(cyl):
     return tuple(sizes[i] for i in range(1, max(sizes) + 1))
 
 
-def assert_projection_run(data, eta, k, sq_radius, depth):
+def assert_projection_run(data, eta, validations, k, sq_radius, depth):
     assert data.n == depth
     # faces of one dimension are congruent in the symmetric chart, so the
     # nesting accepts all of them or none
@@ -117,6 +130,11 @@ def assert_projection_run(data, eta, k, sq_radius, depth):
     sizes = tuple(math.comb(k + 1, i + 1) for i in range(top + 1))
     assert accepted_sizes(data.cyl) == sizes
     assert_projection_identities(data, eta)
+    # every candidate the search tried and the glued cylinder covering,
+    # validated against its checked lower part, agree with the reference
+    for call in validations:
+        assert_walk_equals_reference(*call)
+    assert validations[-1][2] is not None
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -125,8 +143,8 @@ def assert_projection_run(data, eta, k, sq_radius, depth):
     (Fraction(51, 100), 1), (Fraction(3, 5), 1), (Fraction(2, 3), 1),
     (Fraction(3, 4), 1)])
 def test_projection_identities(monkeypatch, k, sq_radius, depth):
-    data, eta = projection_run(monkeypatch, k, sq_radius)
-    assert_projection_run(data, eta, k, sq_radius, depth)
+    data, eta, validations = projection_run(monkeypatch, k, sq_radius)
+    assert_projection_run(data, eta, validations, k, sq_radius, depth)
 
 
 @pytest.mark.parametrize("k, sq_radius, depth", [
@@ -134,8 +152,8 @@ def test_projection_identities(monkeypatch, k, sq_radius, depth):
     ("segment", Fraction(3, 4), 1)], ids=str)
 def test_projection_identities_at_depth_three_and_pulled_back(
         monkeypatch, k, sq_radius, depth):
-    data, eta = projection_run(monkeypatch, k, sq_radius)
-    assert_projection_run(data, eta, 1, sq_radius, depth)
+    data, eta, validations = projection_run(monkeypatch, k, sq_radius)
+    assert_projection_run(data, eta, validations, 1, sq_radius, depth)
 
 
 @pytest.mark.parametrize("k, sq_radius, n", [
@@ -324,6 +342,122 @@ def test_glued_validation_equals_full_validation(monkeypatch, k, sq_radius):
     assert ("target-in-set", {"face": bad.complex.order(face)}) in \
         incremental.failures
     assert_same_report(incremental, validate_covering(bad, eta))
+    assert_walk_equals_reference(glued, eta, lower)
+    assert_walk_equals_reference(bad, eta, lower)
+
+
+# ---------------------------------------------------------------------------
+# the chain walk against the pairwise enumeration it replaced
+
+def reference_chains(faces):
+    """Strict ascending chains inside a face set, grown through a table of
+    each face's strict supersets built over all pairs."""
+    by_face = {k: [a for a in faces if k < a] for k in faces}
+    chains = []
+
+    def rec(chain):
+        chains.append(tuple(chain))
+        for nxt in by_face[chain[-1]]:
+            chain.append(nxt)
+            rec(chain)
+            chain.pop()
+
+    for k in faces:
+        rec([k])
+    return chains
+
+
+def reference_failures(cov, eta, checked=None):
+    """The multiset of (kind, payload repr) failures of a validation that
+    tests condition ii on every pair of nested assigned faces and
+    condition iii on every chain of ``reference_chains``."""
+    cx, R = cov.complex, cov.realization
+    settled = set() if checked is None else \
+        covering._settled_faces(cov, checked)
+    faces = set(cov.assignments)
+    out, cache = [], {}
+    for key in faces - settled:
+        W, t = cov.assignments[key]
+        order = cx.order(key)
+        pts = [R.point(v) for v in order]
+        if len(order) == 1 and t != pts[0]:
+            out.append(("zero-face-pin", {"face": order}))
+        if not regions.contains_point(W, t, cache):
+            out.append(("target-in-set", {"face": order}))
+        res = regions.simplex_in_region(pts, W, cache)
+        if res is not regions.Tri.TRUE:
+            out.append(("face-in-set", {"face": order, "verdict": res.value}))
+    for a in faces:
+        for b in faces:
+            if b < a and not (a in settled and b in settled):
+                res = regions.region_contains(cov.W(a), cov.W(b), cache)
+                if res is not regions.Tri.TRUE:
+                    out.append(("nested-sets", {
+                        "small": cx.order(b), "large": cx.order(a),
+                        "verdict": res.value}))
+    for chain in reference_chains(faces):
+        if settled.issuperset(chain):
+            continue
+        region = eta.region([cov.t(k) for k in chain])
+        res = regions.region_contains(region, cov.W(chain[0]), cache)
+        if res is not regions.Tri.TRUE:
+            out.append(("chain-region", {
+                "chain": [cx.order(k) for k in chain], "verdict": res.value}))
+    return collections.Counter((kind, repr(p)) for kind, p in out)
+
+
+def assert_walk_equals_reference(cov, eta, checked=None):
+    """The walk's verdict and failure multiset equal the reference's, and
+    its failures come out as conditions i, ii, iii, each in face order."""
+    report = validate_covering(cov, eta, checked=checked)
+    want = reference_failures(cov, eta, checked)
+    assert report.passed == (not want)
+    assert collections.Counter(
+        (kind, repr(p)) for kind, p in report.failures) == want
+    rank = {"zero-face-pin": 0, "target-in-set": 0, "face-in-set": 0,
+            "nested-sets": 1, "chain-region": 2}
+    position = {key: i for i, key in
+                enumerate(simplicial.sorted_faces(cov.assignments))}
+    # a failure is walked from its face, its pair's larger face or its
+    # chain's top
+    walked = [(rank[kind], position[frozenset(
+        p.get("face") or p.get("large") or p["chain"][-1])])
+        for kind, p in report.failures]
+    assert walked == sorted(walked)
+    return report
+
+
+def planted_coverings():
+    """(eta, valid, nested, moved): balls of squared radius 2 and three
+    coverings of the standard 2-simplex under them.  valid is validated;
+    nested stretches each vertex's covering set out of its edges' hulls,
+    which fails condition ii; moved puts the triangle's target at its lead
+    vertex, which fails condition iii."""
+    K, R = delta_complex(2)
+    eta = ball_nesting(3, Fraction(2))
+    valid = find_covering(K, R, eta, n_cap=0).covering
+    nested = dict(valid.assignments)
+    for key in K.all_faces():
+        if len(key) == 1:
+            p = nested[key][1]
+            off = tuple(c - Fraction(1, 10) for c in p)
+            nested[key] = (Polytope((p, off)), p)
+    moved = dict(valid.assignments)
+    top = frozenset(range(3))
+    moved[top] = (moved[top][0], R.point(0))
+    return eta, valid, *(CompatibleCovering(K, R, a) for a in (nested, moved))
+
+
+def test_chain_walk_equals_pairwise_reference_on_planted_failures():
+    eta, valid, nested, moved = planted_coverings()
+    assert assert_walk_equals_reference(valid, eta).passed
+    for bad, kind in ((nested, "nested-sets"), (moved, "chain-region")):
+        for checked in (None, valid, bad):
+            report = assert_walk_equals_reference(bad, eta, checked)
+            # checked against itself, every face is settled
+            assert report.passed == (checked is bad)
+            assert (kind in {f for f, _ in report.failures}) == \
+                (checked is not bad)
 
 
 def test_repeated_projection_does_the_same_work(monkeypatch):
@@ -484,3 +618,39 @@ def test_identity_verdicts_equal_the_subset_walk():
     # on the last covering the moved vertex fails every face that holds it
     assert not any(v for key, v in verdicts.items() if vertex <= key)
     assert any(verdicts.values())
+
+
+# the three failing searches and the planted nested-sets covering, whose
+# reports a run prints as JSON; argv[1] is this file's directory
+REPORTS_SCRIPT = """
+import json, sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from test_covering import ball_nesting, planted_coverings
+from nestrix.covering import (CoveringError, small_chain_projection,
+                              validate_covering)
+out = []
+for k, sq_radius, n_cap in ((1, "1/8", 1), (2, "1/8", 1), (2, "1/40", 2)):
+    try:
+        small_chain_projection(k, ball_nesting(k + 1, Fraction(sq_radius)),
+                               n_cap=n_cap)
+    except CoveringError as e:
+        out.append([str(e), repr(e.attempts)])
+eta, valid, nested, moved = planted_coverings()
+out.append(repr(validate_covering(nested, eta).failures))
+print(json.dumps(out))
+"""
+
+
+def test_failure_reports_do_not_depend_on_the_hash_seed():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", REPORTS_SCRIPT, here],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        runs.append(json.loads(out))
+    assert len(runs[0]) == 4 and "nested-sets" in runs[0][-1]
+    assert runs[0] == runs[1]

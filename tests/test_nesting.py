@@ -321,6 +321,11 @@ class TestInCEta:
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
         assert in_c_eta([(F(0),)], eta)
 
+    def test_no_points_fails_typed(self):
+        eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
+        with pytest.raises(NestingError, match="at least one point"):
+            in_c_eta([], eta)
+
     def test_long_interval_rejected(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
         K, R = delta1_realized()

@@ -211,6 +211,15 @@ class TestPrismT:
         g = lambda key: {frozenset((v, b) for v in key): 1}
         Tn.verify_homotopy(f, g)
 
+    @pytest.mark.parametrize("bad", [-1, True, 1.5, "2", None], ids=repr)
+    def test_bad_depth_fails_typed(self, bad):
+        with pytest.raises(SimplicialError, match=f"got {bad!r}"):
+            t_n_complex(delta(1), bad)
+
+    def test_depth_zero_fails_typed(self):
+        with pytest.raises(SimplicialError, match="n >= 1"):
+            t_n_complex(delta(1), 0)
+
 
 class TestOperatorEquationsCorpus:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
