@@ -22,11 +22,15 @@ their own barycenters under either strategy.
 
 The mapping cylinder glues the simplex to a prism over its small-chain
 subcomplex (L), subdivides L n times and stacks the n-step prism T_n on
-[1, 2].  ``cylinder_covering`` seeds the search on L with the faces that
-touch the top of the first prism, builds the depth-n cylinder once from
-the search's own subdivision, and covers the faces of T_n above the seam;
-its top is pinned at barycenters.  The projection-plus-homotopy data whose
-identities drive the small-chain boundary constructions sit on top.
+[1, 2].  One build path serves both entry points: the part below level 1
+is built once, and T_n is stacked once onto S^n(L), which
+``cylinder_covering`` takes from its search on L (seeded with the faces
+that touch the top of the first prism).  It covers the faces of T_n above
+the seam and pins the top at barycenters.  Geometry is read from
+coordinates, never from vertex ids: the seam is the level-1 points, and a
+face's base face is its points' support in the simplex's chart; only
+``simplicial`` knows the id shapes.  The projection-plus-homotopy data
+whose identities drive the small-chain boundary constructions sit on top.
 """
 
 from __future__ import annotations
@@ -37,13 +41,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import frac, frac_str
-from .nesting import (
-    NestingOracle,
-    face_chains_to_top,
-    face_in_c_eta,
-    in_c_eta,
-    pullback,
-)
+from .nesting import NestingOracle, face_chains_to_top, in_c_eta, pullback
 from .regions import (
     AffineMap,
     Polytope,
@@ -60,17 +58,13 @@ from .simplicial import (
     SimplicialChainMap,
     add_into,
     check_depth,
-    is_bvertex,
-    is_level_vertex,
     iterate_subdivide,
-    level_subcomplex,
     mesh_sq,
     prism_complex,
-    resolve_vertex,
+    realize_vertices,
     sorted_faces,
     subdivision_levels,
     t_n_complex,
-    vkey,
 )
 from .symbolic import (
     AffineSimplex,
@@ -325,9 +319,7 @@ def delta_complex(k) -> tuple:
 
 @dataclass
 class MappingCylinder:
-    k: int
     n: int
-    eta: NestingOracle
     base_complex: OrderedSimplicialComplex     # the simplex
     base_realization: Realization
     accepted: OrderedSimplicialComplex         # small-chain subcomplex
@@ -338,40 +330,42 @@ class MappingCylinder:
     q: AffineMap
     q_eta: NestingOracle
     sub_chain_map: SimplicialChainMap          # S^n on L
-    sub_carrier: dict                          # face of S^n L -> face of L
     prism_homotopy: dict                       # P values on accepted faces
     tn_homotopy: dict                          # relabeled T_n values
     level0: dict                               # face of simplex -> face of L
 
 
 def _accepted_subcomplex(K, R, eta):
-    return K.subcomplex(
-        [k for k in K.all_faces() if face_in_c_eta(K, R, k, eta)])
+    return K.subcomplex([key for key in K.all_faces() if in_c_eta(
+        [R.point(v) for v in K.order(key)], eta)])
 
 
-def _coordinate_bijection(cx_a, real_a, cx_b, real_b):
+def _coordinate_bijection(cx_a, coords_a, cx_b, coords_b):
     """Vertex bijection b-side -> a-side by exact realized coordinates."""
     by_coord = {}
     for v in {w for key in cx_a.faces for w in key}:
-        by_coord[real_a.point(v)] = v
+        by_coord[coords_a[v]] = v
     out = {}
     for v in {w for key in cx_b.faces for w in key}:
-        pt = real_b.point(v)
+        pt = coords_b[v]
         if pt not in by_coord:
             raise CoveringError(f"seam vertex {v!r} has no coordinate match")
         out[v] = by_coord[pt]
     return out
 
 
-def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
-    """Glue the simplex to a prism over its small-chain subcomplex, then
-    subdivide n times and stack the n-step prism on [1, 2]."""
-    check_depth(n, error=CoveringError)
+def _lower_cylinder(k, eta: NestingOracle) -> MappingCylinder:
+    """The cylinder below level 1: the simplex, its small-chain
+    subcomplex, L (the simplex at level 0 glued to the prism over that
+    subcomplex on [0, 1]), q and q_eta.  ``_stacked`` fills in n, Ln,
+    S^n and T_n; until then Ln is L and S^n is unset."""
+    check_depth(k, "simplex dimension", CoveringError)
     if k > K_CAP:
         raise CoveringError(f"simplex dimension {k} exceeds cap {K_CAP}")
+    q = AffineMap.projection_drop_last(k + 2)
+    q_eta = pullback(q, eta)
     base, base_real = delta_complex(k)
     accepted = _accepted_subcomplex(base, base_real, eta)
-
     level0 = {key: frozenset((v, Fraction(0)) for v in key)
               for key in base.faces}
     L = base.relabel(lambda v: (v, Fraction(0)))
@@ -380,28 +374,27 @@ def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
         PK, P = prism_complex(accepted, 0, 1)
         L = L.union(PK)
         prism_values = P.values
-    L_real = Realization({v: resolve_vertex(v, base_real.coords)
-                          for v in L.vertices()})
-    subs, chain_map, carrier = iterate_subdivide(L, n)
-    Sn = subs[-1].complex if subs else L
-    q = AffineMap.projection_drop_last(k + 2)
-    return _stacked(MappingCylinder(
-        k=k, n=n, eta=eta, base_complex=base, base_realization=base_real,
-        accepted=accepted, L=L, L_realization=L_real, Ln=Sn,
-        Ln_realization=L_real.extended_to(Sn), q=q, q_eta=pullback(q, eta),
-        sub_chain_map=chain_map, sub_carrier=carrier,
-        prism_homotopy=prism_values, tn_homotopy={}, level0=level0))
+    L_real = Realization(realize_vertices(L, base_real.coords))
+    return MappingCylinder(
+        n=0, base_complex=base, base_realization=base_real,
+        accepted=accepted, L=L, L_realization=L_real, Ln=L,
+        Ln_realization=L_real, q=q, q_eta=q_eta, sub_chain_map=None,
+        prism_homotopy=prism_values, tn_homotopy={}, level0=level0)
 
 
-def _stacked(cyl: MappingCylinder) -> MappingCylinder:
-    """``cyl``, whose Ln is S^n(L) so far, with T_n of the accepted
-    subcomplex on [1, 2] glued on along level 1.
+def _stacked(lower: MappingCylinder, n, Sn, Sn_real, chain_map
+             ) -> MappingCylinder:
+    """``lower`` with L subdivided n times (S^n(L), its realization and
+    the chain map S^n) and T_n of the accepted subcomplex stacked on
+    [1, 2], glued on along level 1.
 
     T_n names the seam's vertices differently from S^n(L), so they are
     matched by exact coordinates, and every seam face must come out with
     the same ordering on both sides.
     """
-    accepted, n, Ln, Ln_real = cyl.accepted, cyl.n, cyl.Ln, cyl.Ln_realization
+    cyl = replace(lower, n=n, Ln=Sn, Ln_realization=Sn_real,
+                  sub_chain_map=chain_map)
+    accepted = cyl.accepted
     if not accepted.faces:
         return cyl
     if n == 0:
@@ -409,11 +402,10 @@ def _stacked(cyl: MappingCylinder) -> MappingCylinder:
         TnK, Tn = prism_complex(accepted, 2, 1)
     else:
         TnK, Tn, _ = t_n_complex(accepted, n, 1, 2)
-    tn_real = Realization({v: resolve_vertex(v, cyl.base_realization.coords)
-                           for v in TnK.vertices()})
-    seam_b = level_subcomplex(TnK, 1)
-    seam_a = Ln.restrict_vertices(lambda v: Ln_real.point(v)[-1] == 1)
-    bij = _coordinate_bijection(seam_a, Ln_real, seam_b, tn_real)
+    tn_coords = realize_vertices(TnK, cyl.base_realization.coords)
+    seam_b = TnK.restrict_vertices(lambda v: tn_coords[v][-1] == 1)
+    seam_a = Sn.restrict_vertices(lambda v: Sn_real.point(v)[-1] == 1)
+    bij = _coordinate_bijection(seam_a, Sn_real.coords, seam_b, tn_coords)
 
     def rename(v):
         return bij.get(v, v)
@@ -424,30 +416,35 @@ def _stacked(cyl: MappingCylinder) -> MappingCylinder:
                 tuple(rename(v) for v in seam_b.order(key)) != \
                 seam_a.order(nk):
             raise CoveringError("cylinder seam mismatch")
-    coords = dict(Ln_real.coords)
-    coords.update((rename(v), p) for v, p in tn_real.coords.items())
+    coords = dict(Sn_real.coords)
+    coords.update((rename(v), p) for v, p in tn_coords.items())
     tn_values = {key: {frozenset(rename(v) for v in kk): c
                        for kk, c in chain.items()}
                  for key, chain in Tn.values.items()}
-    return replace(cyl, Ln=Ln.union(TnK.relabel(rename)),
+    return replace(cyl, Ln=Sn.union(TnK.relabel(rename)),
                    Ln_realization=Realization(coords), tn_homotopy=tn_values)
 
 
-def _base_face_of(key):
-    """Smallest face of the base simplex carrying a cylinder face."""
-    def strip(v, acc):
-        if is_bvertex(v):
-            for x in v[1]:
-                strip(x, acc)
-        elif is_level_vertex(v):
-            strip(v[0], acc)
-        else:
-            acc.add(v)
+def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
+    """Glue the simplex to a prism over its small-chain subcomplex, then
+    subdivide n times and stack the n-step prism on [1, 2]."""
+    check_depth(n, error=CoveringError)
+    lower = _lower_cylinder(k, eta)
+    subs, chain_map, _ = iterate_subdivide(lower.L, n)
+    Sn = subs[-1].complex if subs else lower.L
+    return _stacked(lower, n, Sn, lower.L_realization.extended_to(Sn),
+                    chain_map)
 
-    acc = set()
-    for v in key:
-        strip(v, acc)
-    return frozenset(acc)
+
+def _base_face(cyl: MappingCylinder, key):
+    """Smallest face of the simplex carrying a face of the cylinder.
+
+    ``delta_complex`` puts vertex i at e_i, so a point of the cylinder is
+    nonzero in its first k + 1 coordinates exactly on the vertices of the
+    face carrying it."""
+    R = cyl.Ln_realization
+    return frozenset(i for v in key for i, c in enumerate(R.point(v)[:-1])
+                     if c)
 
 
 def cylinder_covering(k, eta: NestingOracle, n_cap=6):
@@ -455,33 +452,30 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
 
     The search runs on L with the faces that touch the top of the first
     prism as its seed, so their subdivisions keep their own barycenters.
-    The depth-n cylinder is then stacked onto the depth-0 probe's simplex,
-    accepted subcomplex, L and prism from the search's own subdivision, so
-    ``mapping_cylinder`` runs once and L is subdivided once.  Seam faces
-    keep the search's data; each face of T_n above the seam gets its base
-    face times [0, 2] as covering set and the base face's barycenter at
-    its own height as target.
+    The cylinder below level 1 is built once, and T_n is stacked onto the
+    search's own subdivision, so L is subdivided once and T_n built once.
+    Seam faces keep the search's data; each face of T_n above the seam
+    gets its base face times [0, 2] as covering set and the base face's
+    barycenter at its own height as target.
 
     The exact validator decides whether the union is a compatible
     covering.  The search has validated the lower covering in full against
-    ``probe.q_eta``, so the union is validated against that same oracle
+    ``cyl.q_eta``, so the union is validated against that same oracle
     object with the lower covering as already checked: only the faces,
     nested pairs and chains that touch T_n above the seam are tested
     again, which gives the verdict and failures of a full validation.
     """
     check_depth(n_cap, "subdivision cap n_cap", CoveringError)
-    probe = mapping_cylinder(k, eta, 0)
-    R = probe.L_realization
-    seed = {key for key in probe.L.faces if any(R.point(v)[-1] == 1
+    lower = _lower_cylinder(k, eta)
+    R = lower.L_realization
+    seed = {key for key in lower.L.faces if any(R.point(v)[-1] == 1
                                                 for v in key)}
-    res = find_covering(probe.L, R, probe.q_eta, seed=seed, n_cap=n_cap)
-    cyl = probe if res.n == 0 else _stacked(replace(
-        probe, n=res.n, Ln=res.complex, Ln_realization=res.realization,
-        sub_chain_map=res.chain_map, sub_carrier=res.carrier))
+    res = find_covering(lower.L, R, lower.q_eta, seed=seed, n_cap=n_cap)
+    cyl = _stacked(lower, res.n, res.complex, res.realization, res.chain_map)
 
     def prism_region(base_face):
         pts = []
-        for v in sorted(base_face, key=vkey):
+        for v in sorted(base_face):
             p = cyl.base_realization.point(v)
             pts.append(p + (Fraction(0),))
             pts.append(p + (Fraction(2),))
@@ -489,13 +483,13 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
 
     assignments = dict(res.covering.assignments)
     for key in cyl.Ln.faces.keys() - assignments.keys():
-        base_face = _base_face_of(key)
+        base_face = _base_face(cyl, key)
         bar = cyl.Ln_realization.barycenter(cyl.Ln.order(key))
         t = cyl.base_realization.barycenter(
             cyl.base_complex.order(base_face)) + (bar[-1],)
         assignments[key] = (prism_region(base_face), t)
     glued = CompatibleCovering(cyl.Ln, cyl.Ln_realization, assignments)
-    report = validate_covering(glued, probe.q_eta, checked=res.covering)
+    report = validate_covering(glued, cyl.q_eta, checked=res.covering)
     if not report.passed:
         raise CoveringError(f"cylinder covering invalid: {report.first()!r}")
     # the top copy is pinned at barycenters exactly
@@ -587,17 +581,24 @@ def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6):
     """
     check_depth(n_cap, "subdivision cap n_cap", CoveringError)
     pts = [tuple(frac(c) for c in p) for p in points]
+    if not pts:
+        raise CoveringError("boundary_in_small_chains needs a point")
+    if len({len(p) for p in pts}) > 1:
+        raise CoveringError("points have different lengths")
+    if len(pts) > K_CAP + 1:
+        raise CoveringError(f"{len(pts)} points exceed the simplex "
+                            f"dimension cap {K_CAP}")
     k = len(pts) - 1
-    for i in range(k + 1):
-        face = pts[:i] + pts[i + 1:]
-        if len(face) >= 1 and not in_c_eta(face, eta):
-            raise CoveringError("boundary is not a small chain; "
-                                "precondition violated")
     # affine parameterization from the symmetric chart
     rows = tuple(tuple(pts[i][j] for i in range(k + 1))
                  for j in range(len(pts[0])))
     f = AffineMap(rows, tuple(Fraction(0) for _ in range(len(pts[0]))))
     back = pullback(f, eta)
+    for i in range(k + 1):
+        face = pts[:i] + pts[i + 1:]
+        if len(face) >= 1 and not in_c_eta(face, eta):
+            raise CoveringError("boundary is not a small chain; "
+                                "precondition violated")
     data = small_chain_projection(k, back, n_cap)
     top = frozenset(range(k + 1))
     x = dict(data.pi[top].terms)

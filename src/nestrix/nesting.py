@@ -45,6 +45,7 @@ from .regions import (
 from .simplicial import (
     OrderedSimplicialComplex,
     Realization,
+    barycenter,
     mesh_sq,
     subdivide,
     vkey,
@@ -238,6 +239,10 @@ def pullback(f, eta: NestingOracle) -> NestingOracle:
     if isinstance(f, AffineMap):
         if not isinstance(eta.realm, PLRealm):
             raise NestingError("affine pullback needs a PL nesting")
+        if f.target_dim != eta.realm.dim:
+            raise NestingError(
+                f"affine map lands in dimension {f.target_dim}; the "
+                f"nesting's realm has dimension {eta.realm.dim}")
         realm = PLRealm(f.source_dim)
 
         def ev(seq):
@@ -250,6 +255,9 @@ def pullback(f, eta: NestingOracle) -> NestingOracle:
     if isinstance(f, FiniteMap):
         if not isinstance(eta.realm, FiniteRealm):
             raise NestingError("finite-map pullback needs a finite nesting")
+        if f.target is not eta.realm.space:
+            raise NestingError(
+                "finite map's target is not the nesting's space")
         realm = FiniteRealm(f.source)
 
         def ev(seq):
@@ -479,58 +487,28 @@ def face_chains_to_top(order):
     return chains
 
 
-def in_c_eta(points, eta: NestingOracle, proper_only=True, max_len=None) -> bool:
+def in_c_eta(points, eta: NestingOracle) -> bool:
     """Does the affine simplex on ``points`` lie in the small-chain complex?
 
-    Checks, for face chains sigma_1 < ... < sigma_m = sigma, that sigma_1
-    is inside the region at (b(sigma_1), ..., b(sigma_m)).  With
-    ``proper_only`` false, bounded non-strict chains (not necessarily
-    ending at the top) are checked as well; the two must agree, which is
-    property-tested.  An undecidable containment raises UnknownContainment,
-    and an empty point list raises NestingError.
+    Checks, for strict face chains sigma_1 < ... < sigma_m = sigma, that
+    sigma_1 is inside the region at (b(sigma_1), ..., b(sigma_m)).  Bounded
+    non-strict chains, not necessarily ending at the top, give the same
+    verdict, which is property-tested.  An undecidable containment raises
+    UnknownContainment, and an empty point list raises NestingError.
     """
     points = [tuple(frac(c) for c in p) for p in points]
     if not points:
         raise NestingError("in_c_eta needs at least one point")
-    k = len(points)
-
-    def bary(idxs):
-        sel = [points[i] for i in idxs]
-        return tuple(sum(p[j] for p in sel) / len(sel)
-                     for j in range(len(points[0])))
-
-    if proper_only:
-        chains = face_chains_to_top(range(k))
-    else:
-        if max_len is None:
-            max_len = k + 2
-        subsets = []
-        for size in range(1, k + 1):
-            subsets.extend(itertools.combinations(range(k), size))
-        chains = []
-        for ln in range(1, max_len + 1):
-            for cand in itertools.combinations_with_replacement(subsets, ln):
-                ok = all(set(cand[i]) <= set(cand[i + 1])
-                         for i in range(len(cand) - 1))
-                if ok:
-                    chains.append(cand)
-    for chain in chains:
-        barys = [bary(s) for s in chain]
-        region = eta.region(barys)
-        first = [points[i] for i in chain[0]]
-        res = simplex_in_region(first, region)
+    for chain in face_chains_to_top(range(len(points))):
+        region = eta.region([barycenter([points[i] for i in s])
+                             for s in chain])
+        res = simplex_in_region([points[i] for i in chain[0]], region)
         if res is Tri.FALSE:
             return False
         if res is Tri.UNKNOWN:
             raise UnknownContainment(
                 f"cannot decide containment for chain {chain}")
     return True
-
-
-def face_in_c_eta(K: OrderedSimplicialComplex, R: Realization, key,
-                  eta: NestingOracle) -> bool:
-    pts = [R.point(v) for v in K.order(key)]
-    return in_c_eta(pts, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ keeps its terms the same way.
 Vertex ids may be ints, strings, Fractions, or nested tuples of those.
 Two tuple shapes are reserved: ``("b", ids)`` for barycenter vertices
 created by subdivision and ``(v, level)`` for product-complex vertices.
+Only this module reads them: ``realize_vertices`` turns a complex's ids
+into coordinates over a base table, each distinct id once, and a
+``Realization`` is a plain lookup, so other modules read geometry from
+coordinates.
 
 Sign conventions (fixed repo-wide):
     dP + Pd = (i_1)_* - (i_0)_*          (prism over [a, b]; i_0 at a)
@@ -93,18 +97,14 @@ def is_level_vertex(v):
         and isinstance(v[1], (int, Fraction)) and not is_bvertex(v)
 
 
-def sorted_vs(vertices):
-    return tuple(sorted(vertices, key=vkey))
-
-
 def sorted_faces(faces):
     """Faces by (size, vkeys of the sorted vertices), each vertex keyed once.
 
     This is the one face order of the package: complexes, covering
     validation, the opens and connected subsets of finite spaces and the
     covers of sheaf gluing all sort with it.  Sorting a face's keys equals
-    keying its ``sorted_vs`` order, and faces of one dimension share the
-    size, so this is also the order by the key tuple alone.
+    keying its vertices in ``vkey`` order, and faces of one dimension share
+    the size, so this is also the order by the key tuple alone.
     """
     faces = list(faces)
     keyed = {v: vkey(v) for v in {v for k in faces for v in k}}
@@ -382,15 +382,14 @@ class Realization:
         self.dim = dims.pop() if dims else 0
 
     def point(self, v):
-        pt = self.coords.get(v)
-        if pt is None:
-            pt = resolve_vertex(v, self.coords)
-        return pt
+        try:
+            return self.coords[v]
+        except KeyError:
+            raise SimplicialError(
+                f"vertex {v!r} has no point in this realization") from None
 
     def barycenter(self, face_key_or_order):
-        pts = [self.point(v) for v in face_key_or_order]
-        n = len(pts)
-        return tuple(sum(c[i] for c in pts) / n for i in range(len(pts[0])))
+        return barycenter([self.point(v) for v in face_key_or_order])
 
     def sqdist(self, p, q):
         if len(p) != len(q):
@@ -398,24 +397,42 @@ class Realization:
         return sum((a - b) ** 2 for a, b in zip(p, q))
 
     def extended_to(self, complex_):
-        coords = dict(self.coords)
-        for v in {w for k in complex_.faces for w in k}:
-            if v not in coords:
-                coords[v] = resolve_vertex(v, self.coords)
-        return Realization(coords)
+        return Realization({**self.coords,
+                            **realize_vertices(complex_, self.coords)})
 
 
-def resolve_vertex(v, base):
-    """Coordinates of derived vertex ids over a base coordinate table."""
-    if v in base:
-        return base[v]
-    if is_bvertex(v):
-        pts = [resolve_vertex(x, base) for x in v[1]]
-        n = len(pts)
-        return tuple(sum(p[i] for p in pts) / n for i in range(len(pts[0])))
-    if is_level_vertex(v):
-        return resolve_vertex(v[0], base) + (frac(v[1]),)
-    raise SimplicialError(f"cannot resolve coordinates of {v!r}")
+def barycenter(pts):
+    """Exact barycenter of a nonempty list of equal-length points."""
+    n = len(pts)
+    return tuple(sum(p[i] for p in pts) / n for i in range(len(pts[0])))
+
+
+def realize_vertices(complex_, base):
+    """Coordinates of every vertex of ``complex_`` over the table ``base``.
+
+    This is the one place ids become coordinates: an id in ``base`` keeps
+    its point, ``("b", ids)`` is the barycenter of its members and
+    ``(v, level)`` is v's point with the level appended.  Every distinct
+    id, nested members included, is computed once, in a table that lives
+    for the call; only the complex's own vertices are returned, so a table
+    of derived ids may have one coordinate more than ``base``.
+    """
+    table = dict(base)
+
+    def point(v):
+        pt = table.get(v)
+        if pt is None:
+            if is_bvertex(v):
+                pt = barycenter([point(x) for x in v[1]])
+            elif is_level_vertex(v):
+                pt = point(v[0]) + (frac(v[1]),)
+            else:
+                raise SimplicialError(f"cannot resolve coordinates of {v!r}")
+            table[v] = pt
+        return pt
+
+    return {v: point(v) for key in complex_.faces if len(key) == 1
+            for v in key}
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +521,10 @@ def product_at_level(K, level):
     return K.relabel(lambda v: (v, lv))
 
 
-def level_of(v):
-    if is_level_vertex(v):
-        return frac(v[1])
-    return None
-
-
 def level_subcomplex(complex_, level):
     lv = frac(level)
-    return complex_.restrict_vertices(lambda v: level_of(v) == lv)
+    return complex_.restrict_vertices(
+        lambda v: is_level_vertex(v) and frac(v[1]) == lv)
 
 
 def prism_complex(K, a=0, b=1):

@@ -33,7 +33,12 @@ from nestrix.covering import (
     validate_covering,
 )
 from nestrix.exact import frac_str
-from nestrix.nesting import PLRealm, UniformBallRule, cover_generated
+from nestrix.nesting import (
+    NestingError,
+    PLRealm,
+    UniformBallRule,
+    cover_generated,
+)
 from nestrix.regions import Polytope, region_descriptor
 from nestrix.symbolic import (
     AffineSimplex,
@@ -262,13 +267,37 @@ def assert_fresh_cylinder(k, eta, n, glued, cyl):
     assert validate_covering(glued, fresh.q_eta).passed
 
 
+def record_builds(monkeypatch):
+    """The arguments of every later prism, T_n and seam-gluing call of the
+    cylinder constructions, by name."""
+    return {name: record_calls(monkeypatch, covering, name) for name in
+            ("prism_complex", "t_n_complex", "_coordinate_bijection")}
+
+
+def assert_built_once(builds, cyl):
+    """One prism over the accepted subcomplex on [0, 1], then one T_n on
+    [1, 2] (at n = 0 the prism on [2, 1]) and one seam gluing."""
+    A = cyl.accepted
+    if cyl.n == 0:
+        assert builds["prism_complex"] == [(A, 0, 1), (A, 2, 1)]
+        assert builds["t_n_complex"] == []
+    else:
+        assert builds["prism_complex"] == [(A, 0, 1)]
+        assert builds["t_n_complex"] == [(A, cyl.n, 1, 2)]
+    assert len(builds["_coordinate_bijection"]) == 1
+
+
 def test_cylinder_built_once_at_depth_zero(monkeypatch):
-    calls = record_calls(monkeypatch, covering, "mapping_cylinder")
+    builds = record_builds(monkeypatch)
     eta = ball_nesting(3, Fraction(2))
     n, glued, cyl = cylinder_covering(2, eta, n_cap=3)
-    assert n == 0 and calls == [(2, eta, 0)]
+    assert n == 0
+    assert_built_once(builds, cyl)
+    for calls in builds.values():
+        calls.clear()
     boundary_in_small_chains(TRIANGLE, ball_nesting(2, Fraction(1)), n_cap=3)
-    assert len(calls) == 2
+    assert len(builds["prism_complex"]) + len(builds["t_n_complex"]) == 2
+    assert len(builds["_coordinate_bijection"]) == 1
     monkeypatch.undo()
     assert_fresh_cylinder(2, eta, 0, glued, cyl)
 
@@ -277,17 +306,48 @@ def test_cylinder_built_once_at_depth_zero(monkeypatch):
 @pytest.mark.parametrize("sq_radius, depth", [
     (Fraction(1, 2), 1), (Fraction(3, 5), 1), (Fraction(1, 8), 2)], ids=str)
 def test_cylinder_built_once_at_depth(monkeypatch, k, sq_radius, depth):
-    builds = record_calls(monkeypatch, covering, "mapping_cylinder")
+    builds = record_builds(monkeypatch)
     subdivided = record_calls(monkeypatch, simplicial, "subdivide")
     eta = ball_nesting(k + 1, sq_radius)
     n, glued, cyl = cylinder_covering(k, eta, n_cap=3)
     monkeypatch.undo()
-    assert n == depth and builds == [(k, eta, 0)]
+    assert n == depth
+    assert_built_once(builds, cyl)
     # L (it holds the vertex (0, 0)) is subdivided once per level, and T_n
     # subdivides the accepted subcomplex once per level of its own
     lower = [K for (K,) in subdivided if frozenset({(0, 0)}) in K.faces]
     assert len(lower) == n and len(subdivided) == 2 * n
     assert_fresh_cylinder(k, eta, n, glued, cyl)
+
+
+def stripped_base_face(key):
+    """The simplex's vertices left when every id of a cylinder face is
+    stripped of its ("b", ids) and (v, level) shells: the face's carrier
+    as its vertex ids spell it."""
+    def strip(v):
+        if isinstance(v, int):
+            return {v}
+        if v[0] == "b":
+            return set().union(*map(strip, v[1]))
+        return strip(v[0])
+
+    return frozenset().union(*map(strip, key))
+
+
+# vertices, edges or all of the simplex accepted; all of the 2-simplex at
+# n = 3 is left out: its cylinder has 185,239 faces and takes about 19 s
+@pytest.mark.parametrize("k, sq_radius, n", [
+    (2, r, n) for r in (Fraction(1, 8), Fraction(3, 5), Fraction(3, 4))
+    for n in range(4) if (r, n) != (Fraction(3, 4), 3)
+] + [(1, r, n) for r in (Fraction(1, 8), Fraction(3, 4)) for n in range(4)],
+    ids=str)
+def test_base_faces_from_coordinates_equal_the_id_strip(k, sq_radius, n):
+    cyl = mapping_cylinder(k, ball_nesting(k + 1, sq_radius), n)
+    top = min(k, TOP_ACCEPTED[sq_radius])
+    assert accepted_sizes(cyl) == tuple(
+        math.comb(k + 1, i + 1) for i in range(top + 1))
+    for key in cyl.Ln.faces:
+        assert covering._base_face(cyl, key) == stripped_base_face(key)
 
 
 def glued_validations(monkeypatch, run):
@@ -486,17 +546,21 @@ def test_repeated_projection_does_the_same_work(monkeypatch):
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("work started before the cap was checked")
+    raise AssertionError("work started before the input was checked")
+
+
+def forbid_work(monkeypatch, names=("validate_covering", "delta_complex",
+                                    "in_c_eta", "pullback")):
+    for name in names:
+        monkeypatch.setattr(covering, name, _must_not_run)
+    monkeypatch.setattr(simplicial, "subdivide", _must_not_run)
 
 
 @pytest.mark.parametrize("bad", [-1, True, 1.5, "2", None], ids=repr)
 def test_bad_subdivision_cap_fails_typed(monkeypatch, bad):
     K, R = delta_complex(1)
     eta = ball_nesting(2, Fraction(2))
-    monkeypatch.setattr(covering, "validate_covering", _must_not_run)
-    monkeypatch.setattr(covering, "delta_complex", _must_not_run)
-    monkeypatch.setattr(covering, "in_c_eta", _must_not_run)
-    monkeypatch.setattr(simplicial, "subdivide", _must_not_run)
+    forbid_work(monkeypatch)
     calls = [lambda: find_covering(K, R, eta, n_cap=bad),
              lambda: small_chain_projection(1, eta, n_cap=bad),
              lambda: cylinder_covering(1, eta, n_cap=bad),
@@ -508,6 +572,37 @@ def test_bad_subdivision_cap_fails_typed(monkeypatch, bad):
             call()
     with pytest.raises(simplicial.SimplicialError, match=f"got {bad!r}"):
         simplicial.iterate_subdivide(K, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "1", 4], ids=repr)
+def test_bad_simplex_dimension_fails_typed(monkeypatch, bad):
+    eta = ball_nesting(2, Fraction(2))
+    forbid_work(monkeypatch)
+    for call in (lambda: mapping_cylinder(bad, eta, 1),
+                 lambda: cylinder_covering(bad, eta, n_cap=1),
+                 lambda: small_chain_projection(bad, eta, n_cap=1)):
+        with pytest.raises(CoveringError, match="simplex dimension"):
+            call()
+
+
+@pytest.mark.parametrize("points, problem", [
+    ([], "needs a point"),
+    ([(0, 0), (1,)], "different lengths"),
+    ([(0,), (1, 1)], "different lengths"),
+    ([(i, i * i) for i in range(5)], "5 points exceed"),
+], ids=["empty", "shorter", "longer", "too-many"])
+def test_bad_boundary_points_fail_typed(monkeypatch, points, problem):
+    eta = ball_nesting(2, Fraction(1))
+    forbid_work(monkeypatch)
+    with pytest.raises(CoveringError, match=problem):
+        boundary_in_small_chains(points, eta, n_cap=1)
+
+
+def test_nesting_must_live_where_the_simplex_does(monkeypatch):
+    forbid_work(monkeypatch, ("validate_covering", "delta_complex",
+                              "in_c_eta"))
+    with pytest.raises(NestingError, match="dimension 2.*dimension 3"):
+        small_chain_projection(1, ball_nesting(3, Fraction(2)), n_cap=1)
 
 
 def test_oracles_evaluate_each_sequence_once(monkeypatch):

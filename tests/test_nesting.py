@@ -40,7 +40,6 @@ from nestrix.nesting import (
     check_axioms,
     cover_generated,
     extend_to_ambient,
-    face_in_c_eta,
     finite_sequences,
     in_c_cover,
     in_c_eta,
@@ -207,6 +206,18 @@ class TestPullback:
         rep = check_axioms(back, finite_sequences(X, max_len=3))
         assert rep.passed, rep.violations[:3]
 
+    def test_map_must_land_in_the_realm(self):
+        eta = cover_generated(PLRealm(3), UniformBallRule(F(1, 4)))
+        into_plane = AffineMap(((F(1),), (F(0),)), (F(0), F(0)))
+        with pytest.raises(NestingError, match="dimension 2.*dimension 3"):
+            pullback(into_plane, eta)
+        X, Y = pseudocircle(), pseudocircle()
+        same = FiniteMap(X, Y, (("x", "x"), ("y", "y"), ("c", "c"),
+                                ("d", "d")))
+        with pytest.raises(NestingError, match="target"):
+            pullback(same, minimal_open_nesting(X))
+        pullback(same, minimal_open_nesting(Y))
+
     def test_unsupported_map_class(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 4)))
         with pytest.raises(NestingError):
@@ -316,6 +327,33 @@ def delta1_realized(length=1):
     return K, R
 
 
+def face_points(K, R, key):
+    return [R.point(v) for v in K.order(key)]
+
+
+def all_chains_in_c_eta(points, eta, max_len=None):
+    """in_c_eta over every chain sigma_1 <= ... <= sigma_m of faces, not
+    necessarily strict nor ending at the top, of at most max_len (default
+    k + 2) faces: the unrestricted condition the strict chains stand for."""
+    k = len(points)
+    max_len = k + 2 if max_len is None else max_len
+    subsets = [s for size in range(1, k + 1)
+               for s in itertools.combinations(range(k), size)]
+    for ln in range(1, max_len + 1):
+        for chain in itertools.combinations_with_replacement(subsets, ln):
+            if not all(set(a) <= set(b) for a, b in zip(chain, chain[1:])):
+                continue
+            barys = [tuple(sum(points[i][j] for i in s) / len(s)
+                           for j in range(len(points[0]))) for s in chain]
+            res = simplex_in_region([points[i] for i in chain[0]],
+                                    eta.region(barys))
+            if res is Tri.UNKNOWN:
+                raise UnknownContainment(f"undecided at chain {chain}")
+            if res is Tri.FALSE:
+                return False
+    return True
+
+
 class TestInCEta:
     def test_zero_simplex(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
@@ -329,7 +367,7 @@ class TestInCEta:
     def test_long_interval_rejected(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
         K, R = delta1_realized()
-        assert not face_in_c_eta(K, R, frozenset({0, 1}), eta)
+        assert not in_c_eta(face_points(K, R, {0, 1}), eta)
 
     def test_after_three_subdivisions_accepted(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
@@ -338,17 +376,20 @@ class TestInCEta:
         SK = results[-1].complex
         R3 = R.extended_to(SK)
         for key in SK.faces:
-            assert face_in_c_eta(SK, R3, key, eta)
+            assert in_c_eta(face_points(SK, R3, key), eta)
 
     def test_proper_equals_all_chains(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 4)))
         K, R = delta1_realized()
-        res = subdivide(K)
-        R2 = R.extended_to(res.complex)
-        for key in res.complex.faces:
-            pts = [R2.point(v) for v in res.complex.order(key)]
-            assert in_c_eta(pts, eta, proper_only=True) == \
-                in_c_eta(pts, eta, proper_only=False)
+        SK = subdivide(K).complex
+        R2 = R.extended_to(SK)
+        verdicts = []
+        for cx in (K, SK):
+            for key in cx.faces:
+                pts = face_points(cx, R2, key)
+                verdicts.append(in_c_eta(pts, eta))
+                assert verdicts[-1] == all_chains_in_c_eta(pts, eta)
+        assert set(verdicts) == {True, False}
 
     def test_boundary_closure(self):
         eta = cover_generated(PLRealm(2), UniformBallRule(F(2, 3)))
@@ -356,7 +397,7 @@ class TestInCEta:
         R = Realization({0: (F(1), F(0), F(0)), 1: (F(0), F(1), F(0)),
                          2: (F(0), F(0), F(1))})
         eta3 = cover_generated(PLRealm(3), UniformBallRule(F(2, 3)))
-        accepted = [k for k in K.faces if face_in_c_eta(K, R, k, eta3)]
+        accepted = [k for k in K.faces if in_c_eta(face_points(K, R, k), eta3)]
         for key in accepted:
             order = K.order(key)
             if len(order) > 1:

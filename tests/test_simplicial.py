@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nestrix import simplicial
 from nestrix.simplicial import (
     iterated_mesh_sq,
     OrderedSimplicialComplex,
@@ -26,6 +27,7 @@ from nestrix.simplicial import (
     prism_complex,
     product_at_level,
     random_complex,
+    realize_vertices,
     subdivide,
     t_complex,
     t_n_complex,
@@ -251,6 +253,56 @@ def _check_all_operators(K):
         lambda key: {frozenset((v, a) for v in k): c
                      for k, c in sub.chain_map.values[key].items()},
         lambda key: {frozenset((v, b) for v in key): 1})
+
+
+def resolved_by_recursion(v, base):
+    """A vertex id's point by the written-out recursion over its members:
+    ("b", ids) is their barycenter and (v, level) appends the level."""
+    if v in base:
+        return base[v]
+    if v[0] == "b":
+        pts = [resolved_by_recursion(x, base) for x in v[1]]
+        return tuple(sum(p[i] for p in pts) / len(pts)
+                     for i in range(len(pts[0])))
+    return resolved_by_recursion(v[0], base) + (Fraction(v[1]),)
+
+
+class TestRealization:
+    BASE = {i: tuple(Fraction(int(j == i)) for j in range(3))
+            for i in range(3)}
+
+    def test_unknown_vertex_fails_typed(self):
+        R = Realization(self.BASE)
+        with pytest.raises(SimplicialError, match=r"\('b', \(0, 1\)\)"):
+            R.point(("b", (0, 1)))
+        with pytest.raises(SimplicialError, match="vertex 3 has no point"):
+            R.barycenter([0, 3])
+
+    def test_deep_subdivision_computes_each_new_vertex_once(
+            self, monkeypatch):
+        K = delta(2)
+        S3 = iterate_subdivide(K, 3)[0][-1].complex
+        calls = []
+        barycenter = simplicial.barycenter
+
+        def counted(pts):
+            calls.append(pts)
+            return barycenter(pts)
+
+        monkeypatch.setattr(simplicial, "barycenter", counted)
+        R3 = Realization(self.BASE).extended_to(S3)
+        monkeypatch.undo()
+        # S^3 has one vertex per face of S^2 (121), three of them the base
+        assert len(calls) == len(S3.vertices()) - 3 == 118
+        assert R3.coords == {v: resolved_by_recursion(v, self.BASE)
+                             for v in S3.vertices()}
+
+    def test_level_ids_resolve_below_the_base_dimension(self):
+        TK = t_n_complex(delta(2), 2, 1, 2)[0]
+        coords = realize_vertices(TK, self.BASE)
+        assert coords == {v: resolved_by_recursion(v, self.BASE)
+                          for v in TK.vertices()}
+        assert {len(p) for p in coords.values()} == {4}
 
 
 class TestMesh:
