@@ -844,19 +844,3 @@ def frac_str(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
         else str(q.numerator)
-
-
-def sqrt_upper(q: Fraction) -> Fraction:
-    """A rational u >= sqrt(q) with u^2 close to q (q >= 0)."""
-    q = Fraction(q)
-    if q < 0:
-        raise ExactAlgebraError("sqrt of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    # integer sqrt of ceil(q * scale^2) / scale
-    scale = 10 ** 6
-    n = (q.numerator * scale * scale + q.denominator - 1) // q.denominator
-    r = math.isqrt(n)
-    if r * r < n:
-        r += 1
-    return Fraction(r, scale)

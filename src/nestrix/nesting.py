@@ -494,11 +494,20 @@ def in_c_eta(points, eta: NestingOracle) -> bool:
     sigma_1 is inside the region at (b(sigma_1), ..., b(sigma_m)).  Bounded
     non-strict chains, not necessarily ending at the top, give the same
     verdict, which is property-tested.  An undecidable containment raises
-    UnknownContainment, and an empty point list raises NestingError.
+    UnknownContainment.  An empty point list, points of different lengths
+    and, in a PL realm, points not of the realm's dimension raise
+    NestingError.
     """
     points = [tuple(frac(c) for c in p) for p in points]
     if not points:
         raise NestingError("in_c_eta needs at least one point")
+    dim = eta.realm.dim if isinstance(eta.realm, PLRealm) \
+        else len(points[0])
+    for p in points:
+        if len(p) != dim:
+            raise NestingError(
+                f"in_c_eta point ({', '.join(map(str, p))}) has length "
+                f"{len(p)}, expected {dim}")
     for chain in face_chains_to_top(range(len(points))):
         region = eta.region([barycenter([points[i] for i in s])
                              for s in chain])

@@ -10,7 +10,9 @@ On top of that this module provides the chain-level operators:
 * ``prism_complex``  -- the prism ``P`` on ``|K| x [a,b]`` with the standard
   chain homotopy between the two end inclusions,
 * ``t_complex`` / ``t_n_complex`` -- the cone-built prism ``T`` (bottom
-  subdivided once / n times) with its chain homotopy,
+  subdivided once / n times) with its chain homotopy, by the cone formula
+  T(sigma) = -(b_sigma, a) . (i_b sigma + T(d sigma)), so no exact solve
+  runs here,
 * ``mesh_sq``        -- exact squared facet-diameter bounds.
 
 Chains are dicts generator -> nonzero int.  Every sum of chains goes
@@ -43,10 +45,8 @@ from fractions import Fraction
 from .exact import (
     FinChainComplex,
     IntMatrix,
-    NotABoundary,
     frac,
     frac_str,
-    solve_boundary,
 )
 
 
@@ -573,22 +573,20 @@ def _t_facets(K, key, a, b, memo):
     return out
 
 
-def _solve_chain(complex_, rhs, degree):
-    """Deterministic filler: x with dx = rhs in the simplicial complex."""
-    C = complex_.chain_complex()
-    vec = complex_.chain_to_vector(rhs, degree)
-    res = solve_boundary(C, vec, degree)
-    if isinstance(res, NotABoundary):
-        raise SimplicialError("prism filler does not exist (internal)")
-    return complex_.vector_to_chain(res, degree + 1)
-
-
 def t_complex(K, a=0, b=1):
     """T(K) on |K| x [a, b]: bottom is S(K), top is K, glued by cones.
 
     Returns (complex, homotopy T, bottom subdivision result).  The homotopy
     satisfies dT + Td = (i_a)_* S - (i_b)_*, with i_a, i_b the level
-    inclusions after relabeling.
+    inclusions after relabeling.  It is the cone formula (Hatcher,
+    *Algebraic Topology*, 2002, proof of Prop. 2.21)
+
+        T(sigma) = -(b_sigma, a) . (i_b sigma + T(d sigma)),
+
+    built subfaces first; on a vertex T(v) = -[(v, a), (v, b)].  Every
+    (d+1)-face of sigma's cone piece contains the apex (b_sigma, a), and a
+    cone has no nonzero top-dimensional cycles, so this is the only filler
+    of dT(sigma) = i_a S(sigma) - i_b(sigma) - T(d sigma) in that piece.
     """
     a, b = frac(a), frac(b)
     if a == b:
@@ -599,24 +597,17 @@ def t_complex(K, a=0, b=1):
         facets.extend(_t_facets(K, key, a, b, memo))
     TK = OrderedSimplicialComplex.from_facets(facets)
 
-    sub = subdivide(K)
-
-    def i_a(chain):
-        return {frozenset((v, a) for v in k): c for k, c in chain.items()}
-
-    def i_b(chain):
-        return {frozenset((v, b) for v in k): c for k, c in chain.items()}
-
     values = {}
     for key in K.all_faces():
-        d = len(key) - 1
-        rhs = add_into(i_a(sub.chain_map.values[key]), i_b({key: 1}), -1)
+        # i_b key + T(d key); the apex leads every face of key's cone
+        # piece, so apex . f keeps the stored order of f and takes no sign
+        chain = {frozenset((v, b) for v in key): 1}
         for skey, c in K.boundary_of_face(key).items():
-            add_into(rhs, values[skey], -c)
-        piece = TK.subcomplex([frozenset(f) for f in memo[key]])
-        values[key] = _solve_chain(piece, rhs, d)
+            add_into(chain, values[skey], c)
+        apex = (bvertex(key), a)
+        values[key] = {f | {apex}: -c for f, c in chain.items()}
     T = SimplicialChainMap(K, TK, 1, values)
-    return TK, T, sub
+    return TK, T, subdivide(K)
 
 
 def t_n_complex(K, n, a=0, b=1):

@@ -34,7 +34,6 @@ from nestrix.exact import (
     smith_normal_form,
     solve_boundary,
     solve_exact,
-    sqrt_upper,
     zmod,
     ZCOEFF,
     QCOEFF,
@@ -622,11 +621,3 @@ class TestPresentations:
         maps2 = [IntMatrix(1, 1, [2]), IntMatrix.zeros(0, 1)]
         s2 = presented_cohomology_at(g2, maps2, 1)
         assert s2.torsion == (2,)
-
-
-def test_sqrt_upper():
-    for q in (Fraction(2), Fraction(1, 4), Fraction(0), Fraction(49)):
-        u = sqrt_upper(q)
-        assert u * u >= q
-        if q > 0:
-            assert (u * u) <= q * Fraction(1001, 1000) + Fraction(1, 1000)

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -363,6 +363,21 @@ class TestInCEta:
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
         with pytest.raises(NestingError, match="at least one point"):
             in_c_eta([], eta)
+
+    @pytest.mark.parametrize("points, bad", [
+        ([(0, 0), (1,)], r"\(1\) has length 1, expected 2"),
+        ([(0,), (1, 1)], r"\(0\) has length 1, expected 2"),
+    ])
+    def test_point_length_fails_typed(self, points, bad):
+        eta = cover_generated(PLRealm(2), UniformBallRule(F(1)))
+        with pytest.raises(NestingError, match=bad):
+            in_c_eta(points, eta)
+
+    def test_mixed_lengths_fail_typed_without_a_realm_dim(self):
+        eta = cover_generated(PLRealm(2), UniformBallRule(F(1)))
+        eta = replace(eta, realm=None)
+        with pytest.raises(NestingError, match=r"\(1\) has length 1, expected 2"):
+            in_c_eta([(0, 0), (1,)], eta)
 
     def test_long_interval_rejected(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nestrix import simplicial
+from nestrix import exact, simplicial
 from nestrix.simplicial import (
     iterated_mesh_sq,
     OrderedSimplicialComplex,
@@ -14,6 +14,7 @@ from nestrix.simplicial import (
     SimplicialChainMap,
     SimplicialError,
     add_into,
+    bvertex,
     chain_add,
     chain_eq,
     compose_chain_maps,
@@ -199,10 +200,12 @@ class TestPrismT:
             lambda v: _carrier_vertices(v[0]) <= {0})
         assert restricted == T2pt
 
-    def test_tn_homotopy_equation(self):
-        K = delta(1)
-        n = 2
+    @pytest.mark.parametrize("k, n", [(1, 2), (1, 4), (2, 2), (2, 3),
+                                      (3, 1), (3, 2)])
+    def test_tn_homotopy_equation(self, k, n):
+        K = delta(k)
         TnK, Tn, subs = t_n_complex(K, n)
+        TnK.validate()
         iterated, chain_map, _ = iterate_subdivide(K, n)
         # the levels' own subdivisions are the plain n-fold subdivision
         assert [s.complex for s in subs] == [r.complex for r in iterated]
@@ -212,6 +215,42 @@ class TestPrismT:
                          for k, c in chain_map.values[key].items()}
         g = lambda key: {frozenset((v, b) for v in key): 1}
         Tn.verify_homotopy(f, g)
+        # T_n is the sum of its pieces T over S^(i-1)(K), and each piece's
+        # T(sigma) is a cone from (b_sigma, bottom level) inside sigma's
+        # cone piece; with dT + Td this fixes every T uniquely
+        base, chains, acc = K, {key: {key: 1} for key in K.faces}, {}
+        for i in range(1, n + 1):
+            lo, hi = Fraction(n - i, n), Fraction(n - i + 1, n)
+            _, T, sub = t_complex(base, lo, hi)
+            T.verify_homotopy(
+                lambda key: {frozenset((v, lo) for v in s): c
+                             for s, c in sub.chain_map.values[key].items()},
+                lambda key: {frozenset((v, hi) for v in key): 1})
+            parent ={bvertex(key): key for key in base.faces}
+            for key, value in T.values.items():
+                apex = (bvertex(key), lo)
+                for face in value:
+                    assert apex in face
+                    assert all(parent[w] <= key if lvl == lo
+                               else lvl == hi and w in key
+                               for w, lvl in face)
+            for key, chain in chains.items():
+                add_into(acc.setdefault(key, {}), T.apply(chain))
+            chains = {key: sub.chain_map.apply(chain)
+                      for key, chain in chains.items()}
+            base = sub.complex
+        assert acc == Tn.values
+
+    def test_tn_runs_no_exact_solve(self, monkeypatch):
+        calls = []
+        for owner, name in ((exact, "smith_normal_form"),
+                            (OrderedSimplicialComplex, "chain_complex")):
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        t_n_complex(delta(3), 2)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [-1, True, 1.5, "2", None], ids=repr)
     def test_bad_depth_fails_typed(self, bad):
