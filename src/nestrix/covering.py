@@ -25,12 +25,13 @@ subcomplex (L), subdivides L n times and stacks the n-step prism T_n on
 [1, 2].  One build path serves both entry points: the part below level 1
 is built once, and T_n is stacked once onto S^n(L), which
 ``cylinder_covering`` takes from its search on L (seeded with the faces
-that touch the top of the first prism).  It covers the faces of T_n above
-the seam and pins the top at barycenters.  Geometry is read from
-coordinates, never from vertex ids: the seam is the level-1 points, and a
-face's base face is its points' support in the simplex's chart; only
-``simplicial`` knows the id shapes.  The projection-plus-homotopy data
-whose identities drive the small-chain boundary constructions sit on top.
+that touch the top of the first prism).  One rule covers the whole
+cylinder: every face takes the hull of its own points, and every face of
+T_n above the seam, the top included, is pinned at its own barycenter.
+Geometry is read from coordinates, never from vertex ids: the seam is the
+level-1 points; only ``simplicial`` knows the id shapes.  The
+projection-plus-homotopy data whose identities drive the small-chain
+boundary constructions sit on top.
 """
 
 from __future__ import annotations
@@ -436,27 +437,18 @@ def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
                     chain_map)
 
 
-def _base_face(cyl: MappingCylinder, key):
-    """Smallest face of the simplex carrying a face of the cylinder.
-
-    ``delta_complex`` puts vertex i at e_i, so a point of the cylinder is
-    nonzero in its first k + 1 coordinates exactly on the vertices of the
-    face carrying it."""
-    R = cyl.Ln_realization
-    return frozenset(i for v in key for i, c in enumerate(R.point(v)[:-1])
-                     if c)
-
-
 def cylinder_covering(k, eta: NestingOracle, n_cap=6):
-    """Covering of the stacked cylinder with the top pinned at barycenters.
+    """Covering of the stacked cylinder: every face above the seam takes
+    its own hull and its own barycenter.
 
     The search runs on L with the faces that touch the top of the first
     prism as its seed, so their subdivisions keep their own barycenters.
     The cylinder below level 1 is built once, and T_n is stacked onto the
     search's own subdivision, so L is subdivided once and T_n built once.
     Seam faces keep the search's data; each face of T_n above the seam
-    gets its base face times [0, 2] as covering set and the base face's
-    barycenter at its own height as target.
+    gets the hull of its own points as covering set and its own barycenter
+    as target, the rule the search's barycenter strategy applies below,
+    so the top copy is pinned at barycenters.
 
     The exact validator decides whether the union is a compatible
     covering.  The search has validated the lower covering in full against
@@ -472,35 +464,16 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
                                                 for v in key)}
     res = find_covering(lower.L, R, lower.q_eta, seed=seed, n_cap=n_cap)
     cyl = _stacked(lower, res.n, res.complex, res.realization, res.chain_map)
-
-    def prism_region(base_face):
-        pts = []
-        for v in sorted(base_face):
-            p = cyl.base_realization.point(v)
-            pts.append(p + (Fraction(0),))
-            pts.append(p + (Fraction(2),))
-        return Polytope(tuple(pts))
-
+    Rn = cyl.Ln_realization
     assignments = dict(res.covering.assignments)
     for key in cyl.Ln.faces.keys() - assignments.keys():
-        base_face = _base_face(cyl, key)
-        bar = cyl.Ln_realization.barycenter(cyl.Ln.order(key))
-        t = cyl.base_realization.barycenter(
-            cyl.base_complex.order(base_face)) + (bar[-1],)
-        assignments[key] = (prism_region(base_face), t)
-    glued = CompatibleCovering(cyl.Ln, cyl.Ln_realization, assignments)
+        order = cyl.Ln.order(key)
+        assignments[key] = (Polytope(tuple(Rn.point(v) for v in order)),
+                            Rn.barycenter(order))
+    glued = CompatibleCovering(cyl.Ln, Rn, assignments)
     report = validate_covering(glued, cyl.q_eta, checked=res.covering)
     if not report.passed:
         raise CoveringError(f"cylinder covering invalid: {report.first()!r}")
-    # the top copy is pinned at barycenters exactly
-    top_pin_failures = []
-    for key in cyl.Ln.faces:
-        if all(cyl.Ln_realization.point(v)[-1] == 2 for v in key):
-            if glued.t(key) != cyl.Ln_realization.barycenter(
-                    cyl.Ln.order(key)):
-                top_pin_failures.append(key)
-    if top_pin_failures:
-        raise CoveringError("top faces not pinned at barycenters")
     return res.n, glued, cyl
 
 

@@ -3,7 +3,8 @@
 Regions are open subsets of Q^d (piecewise-linear realm) or opens of a
 finite space, built from balls, finite-space opens, finite intersections
 and affine preimages; closed convex polytopes appear as covering sets.
-Membership of a rational point is always decidable; inclusion between
+Membership of a rational point is always decidable, in a polytope as long
+as its vertices are affinely independent (simplex faces); inclusion between
 regions is decided by a sound rule system with a three-valued answer
 (``TRUE`` / ``FALSE`` / ``UNKNOWN``) so that undecided inclusions can
 fail closed.
@@ -12,10 +13,11 @@ Every answer is exact.  Balls and maps compare in rationals; square roots
 enter only through the exact test  sqrt(a) + sqrt(b) <= sqrt(c)  <=>
 a + b <= c  and  4ab <= (c - a - b)^2.  Polytope membership solves in
 integers: each row of the barycentric system is scaled by the lcm of its
-denominators, the direct solve is fraction-free Gauss-Jordan elimination
-(Bareiss: every step divides exactly by the previous pivot) and the
-fallback is phase 1 of the simplex method with integer pivoting and
-Bland's rule, so no Fraction is built until a solution is read off.
+denominators and solved by fraction-free Gauss-Jordan elimination
+(Bareiss: every step divides exactly by the previous pivot), so no
+Fraction is built until the solution is read off.  Dependent vertices
+leave a point of their affine hull undecided, and membership raises
+``RegionError`` there rather than guess.
 
 Maps and regions are immutable and compute their hash once, at
 construction, so the dict keys built from them during a validation cost
@@ -237,7 +239,9 @@ class Intersection(Region):
 class Polytope(Region):
     """Closed convex hull of finitely many rational points (covering sets).
 
-    ``vertex_set`` is the frozenset of the vertices, for subset tests."""
+    Membership needs affinely independent vertices, as a simplex face's
+    are (see ``polytope_contains_point``).  ``vertex_set`` is the
+    frozenset of the vertices, for subset tests."""
 
     vertices: tuple
 
@@ -349,9 +353,10 @@ def contains_point(region: Region, x, cache=None) -> bool:
     ``cache``, when given, is a dict the caller owns for the length of one
     computation.  It keeps the verdicts for ``Polytope`` and
     ``AffinePreimage`` regions, the two whose test costs more than hashing
-    the ``(region, point)`` key (an LP, a map application), and
-    ``region_contains`` keeps its verdicts in the same dict.  A verdict is
-    a function of the key alone, so a cached answer is the exact answer.
+    the ``(region, point)`` key (a barycentric solve, a map
+    application), and ``region_contains`` keeps its verdicts in the same
+    dict.  A verdict is a function of the key alone, so a cached answer is
+    the exact answer.
     """
     if isinstance(region, Ambient):
         return True
@@ -381,10 +386,13 @@ def contains_point(region: Region, x, cache=None) -> bool:
 
 
 def polytope_contains_point(vertices, x) -> bool:
-    """x in conv(vertices): exact LP feasibility (phase 1, in integers).
+    """x in conv(vertices), for affinely independent vertices: the point's
+    barycentric coordinates, solved exactly, must all be nonnegative.
 
-    Affinely independent vertex sets (the common case: simplex faces and
-    prisms over them) take a direct barycentric solve instead.
+    A point off the vertices' affine hull is outside, dependent vertices
+    or not.  A point on the affine hull of dependent vertices has no
+    unique coordinates: unless it is one of the vertices, membership
+    raises ``RegionError``.
     """
     x = tuple(frac(c) for c in x)
     if not vertices:
@@ -399,13 +407,10 @@ def polytope_contains_point(vertices, x) -> bool:
     rows.append([Fraction(1)] * len(vertices))
     rhs = list(x) + [Fraction(1)]
     unique = _solve_unique(rows, rhs)
-    if unique is not None:
-        status, lam = unique
-        if status == "inconsistent":
-            return False
-        if status == "unique":
-            return all(l >= 0 for l in lam)
-    return _lp_feasible(rows, rhs)
+    if unique is None:
+        raise RegionError("polytope vertices are affinely dependent")
+    status, lam = unique
+    return status == "unique" and all(l >= 0 for l in lam)
 
 
 def _integer_rows(A, b):
@@ -469,48 +474,6 @@ def _solve_unique(A, b):
     for i, c in enumerate(piv_cols):
         x[c] = Fraction(T[i][-1], det)
     return ("unique", x)
-
-
-def _lp_feasible(A, b) -> bool:
-    """Is A l = b, l >= 0 feasible?  Phase 1 of the simplex method on the
-    integer rows (sign-flipped so b >= 0) with one artificial variable
-    each, integer pivoting and Bland's rule (least entering column, ties in
-    the ratio test to the least basic index), so the search terminates.
-    The determinant ``det`` stays positive, since every pivot is."""
-    T = _integer_rows(A, b)
-    m = len(T)
-    n = len(A[0]) if m else 0
-    for i, row in enumerate(T):
-        if row[-1] < 0:
-            row = [-v for v in row]
-        T[i] = row[:-1] + [int(j == i) for j in range(m)] + [row[-1]]
-    # the objective row (minimize the artificials' sum) is row m
-    obj = [-sum(row[j] for row in T) for j in range(n + m + 1)]
-    obj[n:n + m] = [0] * m
-    T.append(obj)
-    basis = [n + i for i in range(m)]
-    det = 1
-    while True:
-        obj = T[m]
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
-            return obj[-1] == 0
-        best = None
-        for i in range(m):
-            a = T[i][enter]
-            if a > 0:
-                if best is None:
-                    best = i
-                    continue
-                # compare T[i][-1] / a with the best row's ratio
-                lhs = T[i][-1] * T[best][enter]
-                rhs = T[best][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
-                    best = i
-        if best is None:
-            return False
-        det = _pivot(T, best, enter, det)
-        basis[best] = enter
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ from nestrix.nesting import (
     PLRealm,
     UniformBallRule,
     cover_generated,
+    pullback,
 )
-from nestrix.regions import Polytope, region_descriptor
+from nestrix.regions import AffineMap, Polytope, region_descriptor
 from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
@@ -79,6 +80,18 @@ def assert_projection_identities(data, eta):
 
 SEGMENT = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
 
+# affine charts of simplices in the plane, by name: thin triangles whose
+# unit edge alone is small at squared radius 1/2
+CHARTS = {"triangle-03": ((0, 0), (1, 0), (0, 3)),
+          "triangle-14": ((0, 0), (1, 0), (1, 4))}
+
+
+def chart(points):
+    """The affine map sending vertex i of the symmetric chart to
+    points[i]."""
+    rows = tuple(tuple(p[j] for p in points) for j in range(len(points[0])))
+    return AffineMap(rows, (0,) * len(rows))
+
 
 def projection_run(monkeypatch, k, sq_radius):
     """(data, eta, validations) of small_chain_projection(k, ball nesting,
@@ -86,7 +99,9 @@ def projection_run(monkeypatch, k, sq_radius):
     covering validation the run made.
 
     k = "segment" takes the projection that boundary_in_small_chains makes
-    for SEGMENT, with its pulled-back nesting, and checks the x it returns.
+    for SEGMENT, with its pulled-back nesting, and checks the x it returns;
+    k in CHARTS projects the simplex of that chart, with the ball nesting
+    of the plane pulled back along it.
     """
     validations = []
     validate = covering.validate_covering
@@ -96,6 +111,11 @@ def projection_run(monkeypatch, k, sq_radius):
         return validate(cov, eta, checked=checked)
 
     monkeypatch.setattr(covering, "validate_covering", spy_validate)
+    if k in CHARTS:
+        points = CHARTS[k]
+        eta = pullback(chart(points), ball_nesting(2, sq_radius))
+        return (small_chain_projection(len(points) - 1, eta, n_cap=3), eta,
+                validations)
     if k != "segment":
         eta = ball_nesting(k + 1, sq_radius)
         return small_chain_projection(k, eta, n_cap=3), eta, validations
@@ -121,25 +141,39 @@ TOP_ACCEPTED = {Fraction(2): 2, Fraction(3, 4): 2, Fraction(2, 3): 1,
                 Fraction(1, 8): 0, Fraction(1, 40): 0, Fraction(1, 100): 0}
 
 
+def symmetric_sizes(k, sq_radius):
+    """Accepted faces with 1, 2, ... vertices in the symmetric chart:
+    faces of one dimension are congruent there, so the nesting accepts all
+    of them or none."""
+    top = min(k, TOP_ACCEPTED[sq_radius])
+    return tuple(math.comb(k + 1, i + 1) for i in range(top + 1))
+
+
 def accepted_sizes(cyl):
     """Number of accepted faces with 1, 2, ... vertices."""
     sizes = collections.Counter(len(key) for key in cyl.accepted.faces)
     return tuple(sizes[i] for i in range(1, max(sizes) + 1))
 
 
-def assert_projection_run(data, eta, validations, k, sq_radius, depth):
+def assert_projection_run(data, eta, validations, sizes, depth):
     assert data.n == depth
-    # faces of one dimension are congruent in the symmetric chart, so the
-    # nesting accepts all of them or none
-    top = min(k, TOP_ACCEPTED[sq_radius])
-    sizes = tuple(math.comb(k + 1, i + 1) for i in range(top + 1))
     assert accepted_sizes(data.cyl) == sizes
     assert_projection_identities(data, eta)
     # every candidate the search tried and the glued cylinder covering,
     # validated against its checked lower part, agree with the reference
     for call in validations:
         assert_walk_equals_reference(*call)
-    assert validations[-1][2] is not None
+    glued, _, lower = validations[-1]
+    assert glued is data.covering and lower is not None
+    # the search covers levels 0..1 only; every face above the seam, the
+    # top copy included, has its own hull and is pinned at its barycenter
+    R = glued.realization
+    assert all(R.point(v)[-1] <= 1 for key in lower.assignments for v in key)
+    for key in glued.assignments.keys() - lower.assignments.keys():
+        order = glued.complex.order(key)
+        assert glued.assignments[key] == (
+            Polytope(tuple(R.point(v) for v in order)),
+            R.barycenter(order)), order
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -149,16 +183,20 @@ def assert_projection_run(data, eta, validations, k, sq_radius, depth):
     (Fraction(3, 4), 1)])
 def test_projection_identities(monkeypatch, k, sq_radius, depth):
     data, eta, validations = projection_run(monkeypatch, k, sq_radius)
-    assert_projection_run(data, eta, validations, k, sq_radius, depth)
+    assert_projection_run(data, eta, validations,
+                          symmetric_sizes(k, sq_radius), depth)
 
 
-@pytest.mark.parametrize("k, sq_radius, depth", [
-    (1, Fraction(1, 40), 3), (1, Fraction(1, 100), 3),
-    ("segment", Fraction(3, 4), 1)], ids=str)
+@pytest.mark.parametrize("k, sq_radius, depth, sizes", [
+    pytest.param(1, Fraction(1, 40), 3, (2,), id="1-1/40-3"),
+    pytest.param(1, Fraction(1, 100), 3, (2,), id="1-1/100-3"),
+    pytest.param("segment", Fraction(3, 4), 1, (2, 1), id="segment-3/4-1"),
+] + [pytest.param(name, Fraction(1, 2), 3, (3, 1), id=f"{name}-1/2-3",
+                  marks=pytest.mark.slow) for name in CHARTS])
 def test_projection_identities_at_depth_three_and_pulled_back(
-        monkeypatch, k, sq_radius, depth):
+        monkeypatch, k, sq_radius, depth, sizes):
     data, eta, validations = projection_run(monkeypatch, k, sq_radius)
-    assert_projection_run(data, eta, validations, 1, sq_radius, depth)
+    assert_projection_run(data, eta, validations, sizes, depth)
 
 
 @pytest.mark.parametrize("k, sq_radius, n", [
@@ -318,36 +356,6 @@ def test_cylinder_built_once_at_depth(monkeypatch, k, sq_radius, depth):
     lower = [K for (K,) in subdivided if frozenset({(0, 0)}) in K.faces]
     assert len(lower) == n and len(subdivided) == 2 * n
     assert_fresh_cylinder(k, eta, n, glued, cyl)
-
-
-def stripped_base_face(key):
-    """The simplex's vertices left when every id of a cylinder face is
-    stripped of its ("b", ids) and (v, level) shells: the face's carrier
-    as its vertex ids spell it."""
-    def strip(v):
-        if isinstance(v, int):
-            return {v}
-        if v[0] == "b":
-            return set().union(*map(strip, v[1]))
-        return strip(v[0])
-
-    return frozenset().union(*map(strip, key))
-
-
-# vertices, edges or all of the simplex accepted; all of the 2-simplex at
-# n = 3 is left out: its cylinder has 185,239 faces and takes about 19 s
-@pytest.mark.parametrize("k, sq_radius, n", [
-    (2, r, n) for r in (Fraction(1, 8), Fraction(3, 5), Fraction(3, 4))
-    for n in range(4) if (r, n) != (Fraction(3, 4), 3)
-] + [(1, r, n) for r in (Fraction(1, 8), Fraction(3, 4)) for n in range(4)],
-    ids=str)
-def test_base_faces_from_coordinates_equal_the_id_strip(k, sq_radius, n):
-    cyl = mapping_cylinder(k, ball_nesting(k + 1, sq_radius), n)
-    top = min(k, TOP_ACCEPTED[sq_radius])
-    assert accepted_sizes(cyl) == tuple(
-        math.comb(k + 1, i + 1) for i in range(top + 1))
-    for key in cyl.Ln.faces:
-        assert covering._base_face(cyl, key) == stripped_base_face(key)
 
 
 def glued_validations(monkeypatch, run):
@@ -523,18 +531,18 @@ def test_chain_walk_equals_pairwise_reference_on_planted_failures():
 def test_repeated_projection_does_the_same_work(monkeypatch):
     counts = collections.Counter()
     apply = regions.AffineMap.apply
-    lp_feasible = regions._lp_feasible
+    solve_unique = regions._solve_unique
 
     def counted_apply(self, x):
         counts["apply"] += 1
         return apply(self, x)
 
-    def counted_lp(A, b):
-        counts["lp"] += 1
-        return lp_feasible(A, b)
+    def counted_solve(A, b):
+        counts["solve"] += 1
+        return solve_unique(A, b)
 
     monkeypatch.setattr(regions.AffineMap, "apply", counted_apply)
-    monkeypatch.setattr(regions, "_lp_feasible", counted_lp)
+    monkeypatch.setattr(regions, "_solve_unique", counted_solve)
     eta = ball_nesting(3, Fraction(2))
     runs = []
     for _ in range(2):
@@ -542,7 +550,7 @@ def test_repeated_projection_does_the_same_work(monkeypatch):
         small_chain_projection(2, eta, n_cap=3)
         runs.append(dict(counts))
     assert runs[0] == runs[1]
-    assert runs[0]["apply"] > 0 and runs[0]["lp"] > 0
+    assert runs[0]["apply"] > 0 and runs[0]["solve"] > 0
 
 
 def _must_not_run(*args, **kwargs):
