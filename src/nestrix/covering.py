@@ -28,8 +28,10 @@ is built once, and T_n is stacked once onto S^n(L), which
 that touch the top of the first prism).  One rule covers the whole
 cylinder: every face takes the hull of its own points, and every face of
 T_n above the seam, the top included, is pinned at its own barycenter.
-Geometry is read from coordinates, never from vertex ids: the seam is the
-level-1 points; only ``simplicial`` knows the id shapes.  The
+The seam is shared by name: ``simplicial`` names a one-level face's
+barycenter by its level, so S^n(L) and T_n carry the same level-1 ids and
+are glued by a union.  Geometry is read from coordinates, never from
+vertex ids; only ``simplicial`` knows the id shapes.  The
 projection-plus-homotopy data whose identities drive the small-chain
 boundary constructions sit on top.
 """
@@ -332,27 +334,13 @@ class MappingCylinder:
     q_eta: NestingOracle
     sub_chain_map: SimplicialChainMap          # S^n on L
     prism_homotopy: dict                       # P values on accepted faces
-    tn_homotopy: dict                          # relabeled T_n values
+    tn_homotopy: dict                          # T_n values
     level0: dict                               # face of simplex -> face of L
 
 
 def _accepted_subcomplex(K, R, eta):
     return K.subcomplex([key for key in K.all_faces() if in_c_eta(
         [R.point(v) for v in K.order(key)], eta)])
-
-
-def _coordinate_bijection(cx_a, coords_a, cx_b, coords_b):
-    """Vertex bijection b-side -> a-side by exact realized coordinates."""
-    by_coord = {}
-    for v in {w for key in cx_a.faces for w in key}:
-        by_coord[coords_a[v]] = v
-    out = {}
-    for v in {w for key in cx_b.faces for w in key}:
-        pt = coords_b[v]
-        if pt not in by_coord:
-            raise CoveringError(f"seam vertex {v!r} has no coordinate match")
-        out[v] = by_coord[pt]
-    return out
 
 
 def _lower_cylinder(k, eta: NestingOracle) -> MappingCylinder:
@@ -389,9 +377,10 @@ def _stacked(lower: MappingCylinder, n, Sn, Sn_real, chain_map
     the chain map S^n) and T_n of the accepted subcomplex stacked on
     [1, 2], glued on along level 1.
 
-    T_n names the seam's vertices differently from S^n(L), so they are
-    matched by exact coordinates, and every seam face must come out with
-    the same ordering on both sides.
+    The seam is shared by name: subdivision names a one-level face's
+    barycenter by its level, so S^n(L)'s level-1 part is T_n's bottom id
+    for id, and the union raises ``OrderingConflict`` if a seam face came
+    out with two orderings.
     """
     cyl = replace(lower, n=n, Ln=Sn, Ln_realization=Sn_real,
                   sub_chain_map=chain_map)
@@ -403,27 +392,10 @@ def _stacked(lower: MappingCylinder, n, Sn, Sn_real, chain_map
         TnK, Tn = prism_complex(accepted, 2, 1)
     else:
         TnK, Tn, _ = t_n_complex(accepted, n, 1, 2)
-    tn_coords = realize_vertices(TnK, cyl.base_realization.coords)
-    seam_b = TnK.restrict_vertices(lambda v: tn_coords[v][-1] == 1)
-    seam_a = Sn.restrict_vertices(lambda v: Sn_real.point(v)[-1] == 1)
-    bij = _coordinate_bijection(seam_a, Sn_real.coords, seam_b, tn_coords)
-
-    def rename(v):
-        return bij.get(v, v)
-
-    for key in seam_b.faces:
-        nk = frozenset(rename(v) for v in key)
-        if nk not in seam_a.faces or \
-                tuple(rename(v) for v in seam_b.order(key)) != \
-                seam_a.order(nk):
-            raise CoveringError("cylinder seam mismatch")
-    coords = dict(Sn_real.coords)
-    coords.update((rename(v), p) for v, p in tn_coords.items())
-    tn_values = {key: {frozenset(rename(v) for v in kk): c
-                       for kk, c in chain.items()}
-                 for key, chain in Tn.values.items()}
-    return replace(cyl, Ln=Sn.union(TnK.relabel(rename)),
-                   Ln_realization=Realization(coords), tn_homotopy=tn_values)
+    coords = {**Sn_real.coords,
+              **realize_vertices(TnK, cyl.base_realization.coords)}
+    return replace(cyl, Ln=Sn.union(TnK), Ln_realization=Realization(coords),
+                   tn_homotopy=Tn.values)
 
 
 def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:

@@ -23,10 +23,13 @@ keeps its terms the same way.
 Vertex ids may be ints, strings, Fractions, or nested tuples of those.
 Two tuple shapes are reserved: ``("b", ids)`` for barycenter vertices
 created by subdivision and ``(v, level)`` for product-complex vertices.
-Only this module reads them: ``realize_vertices`` turns a complex's ids
-into coordinates over a base table, each distinct id once, and a
-``Realization`` is a plain lookup, so other modules read geometry from
-coordinates.
+A face all at one level h has the barycenter ``(b, h)``, b that of its
+base vertices, so subdivision commutes with ``product_at_level``:
+S^n(K x {h}) is S^n(K) x {h} id for id, and complexes built on either side
+of a level share its ids.  Only this module reads the shapes:
+``realize_vertices`` turns a complex's ids into coordinates over a base
+table, each distinct id once, and a ``Realization`` is a plain lookup, so
+other modules read geometry from coordinates.
 
 Sign conventions (fixed repo-wide):
     dP + Pd = (i_1)_* - (i_0)_*          (prism over [a, b]; i_0 at a)
@@ -80,10 +83,14 @@ def vkey(v):
 
 
 def bvertex(vertices):
-    """Barycenter vertex id of a face; a 0-face's barycenter is itself."""
+    """Barycenter vertex id of a face; a 0-face's barycenter is itself.
+    A face of ids ``(v, h)`` at one level h is ``(bvertex of the v's, h)``;
+    any other, one spanning two levels included, is ``("b", ids)``."""
     vs = tuple(sorted(vertices, key=vkey))
     if len(vs) == 1:
         return vs[0]
+    if all(is_level_vertex(v) for v in vs) and len({v[1] for v in vs}) == 1:
+        return (bvertex(v[0] for v in vs), vs[0][1])
     return ("b", vs)
 
 
@@ -412,10 +419,12 @@ def realize_vertices(complex_, base):
 
     This is the one place ids become coordinates: an id in ``base`` keeps
     its point, ``("b", ids)`` is the barycenter of its members and
-    ``(v, level)`` is v's point with the level appended.  Every distinct
-    id, nested members included, is computed once, in a table that lives
-    for the call; only the complex's own vertices are returned, so a table
-    of derived ids may have one coordinate more than ``base``.
+    ``(v, level)`` is v's point with the level appended, but a one-level
+    barycenter ``(("b", ys), level)`` is that of the ``(y, level)``, so
+    subdivided level ids resolve over a table of level ids alone.  Every
+    distinct id, nested members included, is computed once, in a table
+    that lives for the call; only the complex's own vertices are returned,
+    so a table of derived ids may have one coordinate more than ``base``.
     """
     table = dict(base)
 
@@ -425,7 +434,9 @@ def realize_vertices(complex_, base):
             if is_bvertex(v):
                 pt = barycenter([point(x) for x in v[1]])
             elif is_level_vertex(v):
-                pt = point(v[0]) + (frac(v[1]),)
+                x, level = v
+                pt = barycenter([point((y, level)) for y in x[1]]) \
+                    if is_bvertex(x) else point(x) + (frac(level),)
             else:
                 raise SimplicialError(f"cannot resolve coordinates of {v!r}")
             table[v] = pt
@@ -794,9 +805,18 @@ def _parse_coordinate(tok: str, no: int) -> Fraction:
 
 
 def parse_realization(text: str) -> Realization:
+    """``name: x_1 ... x_d`` lines, one per vertex, all of one d >= 1."""
     coords = {}
     for no, line in content_lines(text):
         name, _, rest = line.partition(":")
-        coords[parse_token(name.strip(), no, SimplicialError)] = tuple(
-            _parse_coordinate(t, no) for t in rest.split())
+        v = parse_token(name.strip(), no, SimplicialError)
+        pt = tuple(_parse_coordinate(t, no) for t in rest.split())
+        if v in coords:
+            raise SimplicialError(f"line {no}: repeated vertex {v!r}")
+        if not pt:
+            raise SimplicialError(f"line {no}: no coordinates for {v!r}")
+        if coords and len(pt) != len(next(iter(coords.values()))):
+            raise SimplicialError(f"line {no}: {len(pt)} coordinates for "
+                                  f"{v!r}, unlike the first point")
+        coords[v] = pt
     return Realization(coords)

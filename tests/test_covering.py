@@ -222,6 +222,18 @@ def test_cylinder_homotopy_before_deformation(k, sq_radius, n):
         assert lhs == want, cyl.accepted.order(key)
 
 
+@pytest.mark.parametrize("k, sq_radius, n", [
+    (k, r, n) for k in (1, 2)
+    for r in (Fraction(2), Fraction(1, 2), Fraction(1, 8), Fraction(3, 5))
+    for n in range(5 - k)], ids=str)
+def test_cylinder_seam_is_shared(k, sq_radius, n):
+    """S^n(L) and T_n name the seam alike, so Ln has one vertex per point:
+    a seam named two ways would come out twice."""
+    cyl = mapping_cylinder(k, ball_nesting(k + 1, sq_radius), n)
+    points = [cyl.Ln_realization.point(v) for v in cyl.Ln.vertices()]
+    assert len(set(points)) == len(points)
+
+
 def test_search_failure_keeps_every_attempt():
     eta = ball_nesting(2, Fraction(1, 8))
     with pytest.raises(CoveringError) as info:
@@ -306,15 +318,15 @@ def assert_fresh_cylinder(k, eta, n, glued, cyl):
 
 
 def record_builds(monkeypatch):
-    """The arguments of every later prism, T_n and seam-gluing call of the
-    cylinder constructions, by name."""
+    """The arguments of every later prism and T_n call of the cylinder
+    constructions, by name."""
     return {name: record_calls(monkeypatch, covering, name) for name in
-            ("prism_complex", "t_n_complex", "_coordinate_bijection")}
+            ("prism_complex", "t_n_complex")}
 
 
 def assert_built_once(builds, cyl):
     """One prism over the accepted subcomplex on [0, 1], then one T_n on
-    [1, 2] (at n = 0 the prism on [2, 1]) and one seam gluing."""
+    [1, 2] (at n = 0 the prism on [2, 1])."""
     A = cyl.accepted
     if cyl.n == 0:
         assert builds["prism_complex"] == [(A, 0, 1), (A, 2, 1)]
@@ -322,7 +334,6 @@ def assert_built_once(builds, cyl):
     else:
         assert builds["prism_complex"] == [(A, 0, 1)]
         assert builds["t_n_complex"] == [(A, cyl.n, 1, 2)]
-    assert len(builds["_coordinate_bijection"]) == 1
 
 
 def test_cylinder_built_once_at_depth_zero(monkeypatch):
@@ -335,7 +346,6 @@ def test_cylinder_built_once_at_depth_zero(monkeypatch):
         calls.clear()
     boundary_in_small_chains(TRIANGLE, ball_nesting(2, Fraction(1)), n_cap=3)
     assert len(builds["prism_complex"]) + len(builds["t_n_complex"]) == 2
-    assert len(builds["_coordinate_bijection"]) == 1
     monkeypatch.undo()
     assert_fresh_cylinder(2, eta, 0, glued, cyl)
 

@@ -131,6 +131,36 @@ class TestSubdivision:
         for k, car in carrier.items():
             assert car in delta(2).faces
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("level", [0, 1, Fraction(4, 3)], ids=str)
+    @pytest.mark.parametrize("K", [
+        delta(1), delta(2), delta(3), random_complex(5), random_complex(11)],
+        ids=["delta1", "delta2", "delta3", "random5", "random11"])
+    def test_commutes_with_levels(self, K, level, n):
+        """S^n(K x {h}) is S^n(K) x {h} id for id, and it resolves over the
+        level ids' own points to S^n(K)'s points with h appended."""
+        SnK = iterate_subdivide(K, n)[0][-1].complex
+        lifted = iterate_subdivide(
+            product_at_level(K, level), n)[0][-1].complex
+        assert lifted == product_at_level(SnK, level)
+        base = {v: tuple(Fraction(int(v == w)) for w in K.vertices())
+                for v in K.vertices()}
+        h = (Fraction(level),)
+        table = {(v, level): p + h for v, p in base.items()}
+        assert realize_vertices(lifted, table) == {
+            (v, level): p + h
+            for v, p in realize_vertices(SnK, base).items()}
+
+    def test_two_level_faces_keep_b_ids(self):
+        PK, _ = prism_complex(delta(1))
+        vertices = set(subdivide(PK).complex.vertices())
+        spanning = [key for key in PK.faces
+                    if len({level for _, level in key}) > 1]
+        assert len(spanning) == 5
+        for key in spanning:
+            assert ("b", tuple(sorted(key, key=vkey))) in vertices
+        assert {(("b", (0, 1)), 0), (("b", (0, 1)), 1)} <= vertices
+
 
 def _carrier_vertices(v):
     if isinstance(v, tuple) and len(v) == 2 and v[0] == "b":
@@ -670,3 +700,11 @@ class TestTextFormat:
             parse_realization("0: 1 (\n")
         with pytest.raises(SimplicialError, match="line 2.*'1/0'"):
             parse_realization("0: 0 0\n1: 1/0 1\n")
+
+    def test_bad_point_names_its_line(self):
+        with pytest.raises(SimplicialError, match="line 2: repeated.*'a'"):
+            parse_realization("a: 1 2\na: 3 4\n")
+        with pytest.raises(SimplicialError, match="line 1: no coordinates"):
+            parse_realization("a:\n")
+        with pytest.raises(SimplicialError, match="line 3: 1 coordinate"):
+            parse_realization("a: 1 2\n# next\nb: 1\n")
