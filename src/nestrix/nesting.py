@@ -11,14 +11,26 @@ A nesting assigns an open region to every finite point sequence subject to
 Oracles are evaluators, never materialized tables.  Four constructors are
 provided: cover-generated families, pullbacks along maps, the two-case
 prefix extension from an open subset to the ambient realm, and the
-pointwise intersection of a family of nestings.  Membership of a simplex
-in the small-chain subcomplex (every face chain sits inside the region at
-its barycenter sequence) is decided with proper face chains only; the
-equivalence with the unrestricted chain condition is property-tested.
+pointwise intersection of a family of nestings.
+
+Membership of a simplex in the small-chain subcomplex asks that every
+strict face chain ending at the simplex sit inside the region at its
+barycenter sequence; the equivalence with the unrestricted chain
+condition is property-tested.  A cover-generated oracle, and any pullback
+of one, is pointwise: eta(x1, ..., xm) is the intersection of the
+eta(x_i).  Its chain condition is then the face-coface condition "each
+face lies in the region at each coface's barycenter alone": a chain
+region is the intersection of its members' regions, and ``regions``
+decides containment in an intersection member by member (TRUE iff every
+member gives TRUE).  Pointwise oracles ask these face-coface pairs,
+2^m - 1 for a coface with m vertices, instead of the chains, whose number
+grows factorially in m; other oracles walk the chains
+(``small_chain_tests``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -106,6 +118,36 @@ class UniformBallRule:
 
 
 @dataclass(frozen=True)
+class PuncturedBallRule:
+    """g(x) is the open ball at x of squared radius c |x - p|^2.
+
+    The realm is the plane (or space) without the puncture p: the rule is
+    undefined at p, and c < 1 keeps every ball off p.  Balls at different
+    points have different radii."""
+
+    puncture: tuple
+    c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "puncture",
+                           tuple(frac(v) for v in self.puncture))
+        object.__setattr__(self, "c", frac(self.c))
+        if not 0 < self.c < 1:
+            raise NestingError("punctured rule needs 0 < c < 1")
+
+    def region_at(self, x):
+        d = sqdist(x, self.puncture)
+        if not d:
+            raise NestingError(
+                f"punctured rule undefined at its puncture {x!r}")
+        return OpenBall(x, self.c * d)
+
+    def descriptor(self):
+        return ("punctured-ball", tuple(frac_str(v) for v in self.puncture),
+                frac_str(self.c))
+
+
+@dataclass(frozen=True)
 class BallNetRule:
     """Finite net of balls; g(x) is the deepest net ball containing x."""
 
@@ -164,10 +206,16 @@ class TableRule:
 
 @dataclass
 class NestingOracle:
+    """``pointwise`` says that eta(x1, ..., xm) is the intersection of the
+    eta(x_i); the small-chain and covering checks then ask face-coface
+    pairs instead of face chains.  Only ``cover_generated`` and
+    ``pullback`` of a pointwise oracle set it."""
+
     realm: object
     provenance: str
     descriptor: tuple
     _eval: object
+    pointwise: bool = False
     _memo: dict = field(default_factory=dict)
 
     def region(self, points) -> Region:
@@ -199,7 +247,8 @@ def cover_generated(realm, rule) -> NestingOracle:
         return intersection([rule.region_at(x) for x in seq])
 
     return NestingOracle(realm, "cover-generated",
-                         ("cover", realm.descriptor(), rule.descriptor()), ev)
+                         ("cover", realm.descriptor(), rule.descriptor()), ev,
+                         pointwise=True)
 
 
 def minimal_open_nesting(space: FiniteSpace) -> NestingOracle:
@@ -235,7 +284,10 @@ class FiniteMap:
 
 
 def pullback(f, eta: NestingOracle) -> NestingOracle:
-    """f*eta with f*eta(x1..xn) = f^{-1}(eta(f x1, ..., f xn))."""
+    """f*eta with f*eta(x1..xn) = f^{-1}(eta(f x1, ..., f xn)).
+
+    Preimages commute with intersections, so the pullback of a pointwise
+    oracle is pointwise."""
     if isinstance(f, AffineMap):
         if not isinstance(eta.realm, PLRealm):
             raise NestingError("affine pullback needs a PL nesting")
@@ -251,7 +303,8 @@ def pullback(f, eta: NestingOracle) -> NestingOracle:
             return preimage_region(f, eta.region([f.apply(x) for x in seq]))
 
         return NestingOracle(realm, "pullback",
-                             ("pullback", f.descriptor(), eta.descriptor), ev)
+                             ("pullback", f.descriptor(), eta.descriptor), ev,
+                             pointwise=eta.pointwise)
     if isinstance(f, FiniteMap):
         if not isinstance(eta.realm, FiniteRealm):
             raise NestingError("finite-map pullback needs a finite nesting")
@@ -266,7 +319,8 @@ def pullback(f, eta: NestingOracle) -> NestingOracle:
             return f.preimage(eta.region([f.apply(x) for x in seq]))
 
         return NestingOracle(realm, "pullback",
-                             ("pullback", f.descriptor(), eta.descriptor), ev)
+                             ("pullback", f.descriptor(), eta.descriptor), ev,
+                             pointwise=eta.pointwise)
     raise NestingError(f"unsupported map class {type(f).__name__}; "
                        "affine maps and finite-space maps only")
 
@@ -487,16 +541,35 @@ def face_chains_to_top(order):
     return chains
 
 
+@functools.cache
+def small_chain_tests(size, pointwise):
+    """The containments that decide small-chain membership of a simplex
+    with ``size`` vertices, as (face, faces) pairs of index subsets: the
+    face must lie in eta at the barycenters of the faces.
+
+    A pointwise eta asks each face against each coface's barycenter alone,
+    in face order of the coface, then of the face.  Any other eta asks
+    each strict face chain ending at the top (``face_chains_to_top``)."""
+    if not pointwise:
+        return tuple((c[0], c) for c in face_chains_to_top(range(size)))
+    faces = [s for n in range(1, size + 1)
+             for s in itertools.combinations(range(size), n)]
+    return tuple((s, (t,)) for t in faces for s in faces
+                 if set(s) <= set(t))
+
+
 def in_c_eta(points, eta: NestingOracle) -> bool:
     """Does the affine simplex on ``points`` lie in the small-chain complex?
 
     Checks, for strict face chains sigma_1 < ... < sigma_m = sigma, that
-    sigma_1 is inside the region at (b(sigma_1), ..., b(sigma_m)).  Bounded
-    non-strict chains, not necessarily ending at the top, give the same
-    verdict, which is property-tested.  An undecidable containment raises
-    UnknownContainment.  An empty point list, points of different lengths
-    and, in a PL realm, points not of the realm's dimension raise
-    NestingError.
+    sigma_1 is inside the region at (b(sigma_1), ..., b(sigma_m)); a
+    pointwise eta asks the face-coface pairs instead, which is the same
+    condition (``small_chain_tests``).  Bounded non-strict chains, not
+    necessarily ending at the top, give the same verdict, which is
+    property-tested.  A FALSE containment anywhere gives False; otherwise
+    an undecidable one raises UnknownContainment.  An empty point list,
+    points of different lengths and, in a PL realm, points not of the
+    realm's dimension raise NestingError.
     """
     points = [tuple(frac(c) for c in p) for p in points]
     if not points:
@@ -508,15 +581,22 @@ def in_c_eta(points, eta: NestingOracle) -> bool:
             raise NestingError(
                 f"in_c_eta point ({', '.join(map(str, p))}) has length "
                 f"{len(p)}, expected {dim}")
-    for chain in face_chains_to_top(range(len(points))):
-        region = eta.region([barycenter([points[i] for i in s])
-                             for s in chain])
-        res = simplex_in_region([points[i] for i in chain[0]], region)
+    barys = {}
+    undecided = None
+    for face, seq in small_chain_tests(len(points), eta.pointwise):
+        for s in seq:
+            if s not in barys:
+                barys[s] = barycenter([points[i] for i in s])
+        region = eta.region([barys[s] for s in seq])
+        res = simplex_in_region([points[i] for i in face], region)
         if res is Tri.FALSE:
             return False
-        if res is Tri.UNKNOWN:
-            raise UnknownContainment(
-                f"cannot decide containment for chain {chain}")
+        if res is Tri.UNKNOWN and undecided is None:
+            undecided = (face, seq)
+    if undecided is not None:
+        raise UnknownContainment(
+            f"cannot decide containment of face {undecided[0]} in the "
+            f"region at {undecided[1]}")
     return True
 
 

@@ -24,11 +24,10 @@ pulling the region back.  An undecided containment fails closed.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .exact import frac
-from .nesting import NestingOracle, UnknownContainment, face_chains_to_top
+from .nesting import NestingOracle, UnknownContainment, small_chain_tests
 from .regions import (
     AffineMap,
     Region,
@@ -303,19 +302,19 @@ def _subsimplex(simplex: SymbolicSimplex, indices):
 
 
 def symbolic_in_c_eta(simplex: SymbolicSimplex, eta: NestingOracle) -> Tri:
-    """Small-chain membership via proper face chains ending at the simplex."""
-    k = simplex.dim
-    full = tuple(range(k + 1))
-    subs = {}
-    for size in range(1, k + 2):
-        for S in itertools.combinations(full, size):
-            subs[S] = _subsimplex(simplex, S)
-    chains = face_chains_to_top(full)
+    """Small-chain membership via proper face chains ending at the simplex,
+    or via face-coface pairs when eta is pointwise (see
+    ``nesting.small_chain_tests``): FALSE if any test is FALSE, else
+    UNKNOWN if any is undecided."""
+    tests = small_chain_tests(simplex.dim + 1, eta.pointwise)
+    subs = {s: _subsimplex(simplex, s) for s, _ in tests}
+    barys = {}
     verdict = Tri.TRUE
-    for chain in chains:
-        barys = [subs[S].barycenter() for S in chain]
-        region = eta.region(barys)
-        res = image_in_region(subs[chain[0]], region)
+    for face, seq in tests:
+        for s in seq:
+            if s not in barys:
+                barys[s] = subs[s].barycenter()
+        res = image_in_region(subs[face], eta.region([barys[s] for s in seq]))
         if res is Tri.FALSE:
             return Tri.FALSE
         if res is Tri.UNKNOWN:

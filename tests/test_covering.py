@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,11 +37,18 @@ from nestrix.exact import frac_str
 from nestrix.nesting import (
     NestingError,
     PLRealm,
+    PuncturedBallRule,
     UniformBallRule,
+    broken_demo_nesting,
     cover_generated,
     pullback,
 )
-from nestrix.regions import AffineMap, Polytope, region_descriptor
+from nestrix.regions import (
+    AffineMap,
+    Polytope,
+    polytope_contains_point,
+    region_descriptor,
+)
 from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
@@ -93,16 +101,8 @@ def chart(points):
     return AffineMap(rows, (0,) * len(rows))
 
 
-def projection_run(monkeypatch, k, sq_radius):
-    """(data, eta, validations) of small_chain_projection(k, ball nesting,
-    n_cap=3), where validations lists the (covering, eta, checked) of every
-    covering validation the run made.
-
-    k = "segment" takes the projection that boundary_in_small_chains makes
-    for SEGMENT, with its pulled-back nesting, and checks the x it returns;
-    k in CHARTS projects the simplex of that chart, with the ball nesting
-    of the plane pulled back along it.
-    """
+def spy_validations(monkeypatch):
+    """The (covering, eta, checked) of every later covering validation."""
     validations = []
     validate = covering.validate_covering
 
@@ -111,14 +111,28 @@ def projection_run(monkeypatch, k, sq_radius):
         return validate(cov, eta, checked=checked)
 
     monkeypatch.setattr(covering, "validate_covering", spy_validate)
+    return validations
+
+
+def projection_run(monkeypatch, k, sq_radius, n_cap=3):
+    """(data, eta, validations) of small_chain_projection(k, ball nesting,
+    n_cap), where validations lists the (covering, eta, checked) of every
+    covering validation the run made.
+
+    k = "segment" takes the projection that boundary_in_small_chains makes
+    for SEGMENT, with its pulled-back nesting, and checks the x it returns;
+    k in CHARTS projects the simplex of that chart, with the ball nesting
+    of the plane pulled back along it.
+    """
+    validations = spy_validations(monkeypatch)
     if k in CHARTS:
         points = CHARTS[k]
         eta = pullback(chart(points), ball_nesting(2, sq_radius))
-        return (small_chain_projection(len(points) - 1, eta, n_cap=3), eta,
-                validations)
+        return (small_chain_projection(len(points) - 1, eta, n_cap=n_cap),
+                eta, validations)
     if k != "segment":
         eta = ball_nesting(k + 1, sq_radius)
-        return small_chain_projection(k, eta, n_cap=3), eta, validations
+        return small_chain_projection(k, eta, n_cap=n_cap), eta, validations
     runs = []
     project = covering.small_chain_projection
 
@@ -128,7 +142,7 @@ def projection_run(monkeypatch, k, sq_radius):
 
     monkeypatch.setattr(covering, "small_chain_projection", spy)
     eta = ball_nesting(2, sq_radius)
-    x = boundary_in_small_chains(SEGMENT, eta, n_cap=3)
+    x = boundary_in_small_chains(SEGMENT, eta, n_cap=n_cap)
     assert x.boundary() == FormalChain.single(AffineSimplex(SEGMENT)).boundary()
     assert chain_in_c_eta(x, eta) is True
     (run,) = runs
@@ -196,6 +210,20 @@ def test_projection_identities(monkeypatch, k, sq_radius, depth):
 def test_projection_identities_at_depth_three_and_pulled_back(
         monkeypatch, k, sq_radius, depth, sizes):
     data, eta, validations = projection_run(monkeypatch, k, sq_radius)
+    assert_projection_run(data, eta, validations, sizes, depth)
+
+
+@pytest.mark.parametrize("k, sq_radius, depth, sizes", [
+    pytest.param(3, Fraction(1, 2), 1, (4,), id="3-1/2-1"),
+    pytest.param(3, Fraction(1, 4), 2, (4,), id="3-1/4-2",
+                 marks=pytest.mark.slow),
+    pytest.param(2, Fraction(1, 40), 4, (3,), id="2-1/40-4",
+                 marks=pytest.mark.slow),
+])
+def test_projection_identities_deeper(monkeypatch, k, sq_radius, depth,
+                                      sizes):
+    data, eta, validations = projection_run(monkeypatch, k, sq_radius,
+                                            n_cap=max(3, depth))
     assert_projection_run(data, eta, validations, sizes, depth)
 
 
@@ -425,7 +453,7 @@ def test_glued_validation_equals_full_validation(monkeypatch, k, sq_radius):
 
 
 # ---------------------------------------------------------------------------
-# the chain walk against the pairwise enumeration it replaced
+# the validation against a chain walk over all nested faces
 
 def reference_chains(faces):
     """Strict ascending chains inside a face set, grown through a table of
@@ -445,10 +473,11 @@ def reference_chains(faces):
     return chains
 
 
-def reference_failures(cov, eta, checked=None):
-    """The multiset of (kind, payload repr) failures of a validation that
-    tests condition ii on every pair of nested assigned faces and
-    condition iii on every chain of ``reference_chains``."""
+def reference_walk(cov, eta, checked=None):
+    """(failures, verdicts): the multiset of (kind, payload repr) failures of
+    conditions i and ii, tested on every pair of nested assigned faces,
+    and the condition-iii verdict of every chain of ``reference_chains``
+    that a validation asks, by chain of face keys."""
     cx, R = cov.complex, cov.realization
     settled = set() if checked is None else \
         covering._settled_faces(cov, checked)
@@ -473,35 +502,80 @@ def reference_failures(cov, eta, checked=None):
                     out.append(("nested-sets", {
                         "small": cx.order(b), "large": cx.order(a),
                         "verdict": res.value}))
+    verdicts = {}
     for chain in reference_chains(faces):
-        if settled.issuperset(chain):
-            continue
-        region = eta.region([cov.t(k) for k in chain])
-        res = regions.region_contains(region, cov.W(chain[0]), cache)
-        if res is not regions.Tri.TRUE:
-            out.append(("chain-region", {
-                "chain": [cx.order(k) for k in chain], "verdict": res.value}))
-    return collections.Counter((kind, repr(p)) for kind, p in out)
+        if not settled.issuperset(chain):
+            region = eta.region([cov.t(k) for k in chain])
+            verdicts[chain] = regions.region_contains(
+                region, cov.W(chain[0]), cache)
+    return collections.Counter((kind, repr(p)) for kind, p in out), verdicts
+
+
+def failing_pairs(report):
+    """{(face, coface): verdict} of a pair-route report's condition-iii
+    records, each pair reported once."""
+    pairs = [((frozenset(p["face"]), frozenset(p["coface"])), p["verdict"])
+             for kind, p in report.failures if kind == "chain-region"]
+    assert len(dict(pairs)) == len(pairs)
+    return dict(pairs)
+
+
+def assert_pairs_match_chains(pairs, verdicts):
+    """The failing pairs give the reference's chain verdicts: a chain
+    fails iff it pairs its first face with a failing member, and the pairs
+    that are themselves chains ((s) and (s, t) with (s) alone passing)
+    fail with the chain's verdict."""
+    true = regions.Tri.TRUE
+    for chain, v in verdicts.items():
+        assert (v is not true) == any(
+            (chain[0], k) in pairs for k in chain), chain
+    alone = {c[0]: v for c, v in verdicts.items() if len(c) == 1}
+    want = {(c[0], c[-1]): v.value for c, v in verdicts.items()
+            if v is not true and (len(c) == 1 or len(c) == 2
+                                  and alone.get(c[0], true) is true)}
+    got = {(s, t): v for (s, t), v in pairs.items()
+           if s == t or alone.get(s, true) is true}
+    assert got == want
 
 
 def assert_walk_equals_reference(cov, eta, checked=None):
-    """The walk's verdict and failure multiset equal the reference's, and
-    its failures come out as conditions i, ii, iii, each in face order."""
+    """The validation's verdict and failures equal the reference walk's,
+    and its failures come out as conditions i, ii, iii, each in face order
+    of the larger face, then of the smaller.
+
+    A pointwise eta's condition-iii records are face-coface pairs, read
+    against the reference's chain verdicts; any other eta's are chains,
+    equal to the reference's failing chains."""
     report = validate_covering(cov, eta, checked=checked)
-    want = reference_failures(cov, eta, checked)
-    assert report.passed == (not want)
+    want, verdicts = reference_walk(cov, eta, checked)
+    failing = {c: v for c, v in verdicts.items() if v is not regions.Tri.TRUE}
+    assert report.passed == (not want and not failing)
     assert collections.Counter(
-        (kind, repr(p)) for kind, p in report.failures) == want
+        (kind, repr(p)) for kind, p in report.failures
+        if kind != "chain-region") == want
+    cx = cov.complex
+    if eta.pointwise:
+        assert_pairs_match_chains(failing_pairs(report), verdicts)
+    else:
+        assert collections.Counter(
+            repr(p) for kind, p in report.failures
+            if kind == "chain-region") == collections.Counter(
+            repr({"chain": [cx.order(k) for k in c], "verdict": v.value})
+            for c, v in failing.items())
     rank = {"zero-face-pin": 0, "target-in-set": 0, "face-in-set": 0,
             "nested-sets": 1, "chain-region": 2}
     position = {key: i for i, key in
                 enumerate(simplicial.sorted_faces(cov.assignments))}
-    # a failure is walked from its face, its pair's larger face or its
-    # chain's top
-    walked = [(rank[kind], position[frozenset(
-        p.get("face") or p.get("large") or p["chain"][-1])])
-        for kind, p in report.failures]
-    assert walked == sorted(walked)
+
+    def walked(kind, p):
+        larger = p["chain"][-1] if "chain" in p else \
+            p.get("coface") or p.get("large") or p["face"]
+        smaller = p.get("small") or p.get("face") or larger
+        return (rank[kind], position[frozenset(larger)],
+                position[frozenset(smaller)])
+
+    order = [walked(kind, p) for kind, p in report.failures]
+    assert order == sorted(order)
     return report
 
 
@@ -526,7 +600,7 @@ def planted_coverings():
     return eta, valid, *(CompatibleCovering(K, R, a) for a in (nested, moved))
 
 
-def test_chain_walk_equals_pairwise_reference_on_planted_failures():
+def test_validation_equals_reference_walk_on_planted_failures():
     eta, valid, nested, moved = planted_coverings()
     assert assert_walk_equals_reference(valid, eta).passed
     for bad, kind in ((nested, "nested-sets"), (moved, "chain-region")):
@@ -536,6 +610,82 @@ def test_chain_walk_equals_pairwise_reference_on_planted_failures():
             assert report.passed == (checked is bad)
             assert (kind in {f for f, _ in report.failures}) == \
                 (checked is not bad)
+
+
+def test_other_oracles_are_validated_by_their_chains():
+    """An oracle that is not pointwise takes the chain walk; the planted
+    one, which reads the last point's region only, still fails the moved
+    covering there, with chain records equal to the reference's."""
+    eta, valid, nested, moved = planted_coverings()
+    broken = broken_demo_nesting(PLRealm(3), UniformBallRule(Fraction(2)))
+    assert eta.pointwise and not broken.pointwise
+    assert assert_walk_equals_reference(valid, broken).passed
+    report = assert_walk_equals_reference(moved, broken)
+    records = [p for kind, p in report.failures if kind == "chain-region"]
+    assert not report.passed and records
+    assert all(set(p) == {"chain", "verdict"} for p in records)
+
+
+PUNCTURE = (Fraction(0), Fraction(0))
+
+
+def random_simplices(rng, count):
+    """``count`` random segments and triangles in the plane with vertex
+    coordinates in [-3/2, 3/2] over 4, affinely independent."""
+    out = []
+    while len(out) < count:
+        pts = tuple(tuple(Fraction(rng.randint(-6, 6), 4) for _ in range(2))
+                    for _ in range(rng.choice((2, 3))))
+        (a, b), (c, d) = pts[:2]
+        if len(pts) == 2:
+            independent = (a, b) != (c, d)
+        else:
+            e, f = pts[2]
+            independent = (c - a) * (f - b) != (d - b) * (e - a)
+        if independent:
+            out.append(pts)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_punctured_plane_sweep(monkeypatch, seed):
+    """Random segments and triangles under the punctured-plane rule,
+    pulled back along their charts.  A simplex that holds the puncture
+    never projects (the rule is undefined there, and every ball misses
+    it).  The others project within the cap, fail at it, or fail the
+    glued cylinder's validation: pinning every face above the seam at its
+    own barycenter is checked, not guaranteed, and balls of different
+    radii can refuse it.  Every projection satisfies its identities, and
+    every validation made on the way agrees with the reference chain
+    walk."""
+    rng = random.Random(seed)
+    outcomes = collections.Counter()
+    for points in random_simplices(rng, 6):
+        c = rng.choice((Fraction(1, 4), Fraction(1, 2)))
+        eta = pullback(chart(points), cover_generated(
+            PLRealm(2), PuncturedBallRule(PUNCTURE, c)))
+        holds_puncture = polytope_contains_point(points, PUNCTURE)
+        validations = spy_validations(monkeypatch)
+        try:
+            data = small_chain_projection(len(points) - 1, eta, n_cap=2)
+        except NestingError as e:
+            assert holds_puncture and "puncture" in str(e)
+            outcomes["puncture"] += 1
+        except CoveringError as e:
+            if e.attempts:
+                assert [n for n, *_ in e.attempts][::2] == [0, 1, 2]
+                outcomes["cap"] += 1
+            else:
+                assert "cylinder covering invalid" in str(e)
+                outcomes["glued"] += 1
+        else:
+            assert not holds_puncture
+            assert_projection_identities(data, eta)
+            outcomes["projected"] += 1
+        monkeypatch.undo()
+        for call in validations:
+            assert_walk_equals_reference(*call)
+    assert outcomes["projected"] > 0
 
 
 def test_repeated_projection_does_the_same_work(monkeypatch):
@@ -755,15 +905,47 @@ print(json.dumps(out))
 """
 
 
-def test_failure_reports_do_not_depend_on_the_hash_seed():
+def run_under_hash_seeds(script):
+    """The JSON that ``script`` prints, run as ``python -c`` with this
+    file's directory as argv[1], under hash seeds 0 and 1."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     runs = []
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", REPORTS_SCRIPT, here],
+        out = subprocess.run([sys.executable, "-c", script, here],
                              env=env, capture_output=True, text=True,
                              check=True).stdout
         runs.append(json.loads(out))
+    return runs
+
+
+def test_failure_reports_do_not_depend_on_the_hash_seed():
+    runs = run_under_hash_seeds(REPORTS_SCRIPT)
     assert len(runs[0]) == 4 and "nested-sets" in runs[0][-1]
+    assert runs[0] == runs[1]
+
+
+# the failures of the barycenter candidate on the once subdivided
+# 2-simplex, which fails condition iii on many face-coface pairs
+PAIR_REPORT_SCRIPT = """
+import json, sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from test_covering import ball_nesting
+from nestrix import covering
+from nestrix.simplicial import iterate_subdivide
+K, R = covering.delta_complex(2)
+subs, _, carrier = iterate_subdivide(K, 1)
+cx = subs[-1].complex
+cand = covering._candidate_covering(cx, R.extended_to(cx), carrier, set(),
+                                    "barycenter")
+report = covering.validate_covering(cand, ball_nesting(3, Fraction(1, 8)))
+print(json.dumps(repr(report.failures)))
+"""
+
+
+def test_pair_records_do_not_depend_on_the_hash_seed():
+    runs = run_under_hash_seeds(PAIR_REPORT_SCRIPT)
+    assert runs[0].count("'coface'") > 10
     assert runs[0] == runs[1]

@@ -1,9 +1,11 @@
 import itertools
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
+from nestrix import regions
 from nestrix.finite_space import FiniteSpace, example03_space, pseudocircle
 from nestrix.regions import (
     AffineMap,
@@ -33,6 +35,7 @@ from nestrix.nesting import (
     MinimalOpenRule,
     NestingError,
     PLRealm,
+    PuncturedBallRule,
     TableRule,
     UniformBallRule,
     UnknownContainment,
@@ -224,6 +227,69 @@ class TestPullback:
             pullback(lambda x: x, eta)
 
 
+class TestPointwise:
+    """Only cover-generated oracles and their pullbacks are pointwise."""
+
+    def test_cover_generated_and_pullbacks(self):
+        eta = cover_generated(PLRealm(2), UniformBallRule(F(1, 4)))
+        line = AffineMap(((F(1),), (F(2),)), (F(0), F(0)))
+        assert eta.pointwise and pullback(line, eta).pointwise
+        X = example03_space()
+        U = frozenset({2, 3, 4})
+        sub = FiniteSpace(tuple(sorted(U)), {o & U for o in X.opens})
+        incl = FiniteMap(sub, X, tuple((p, p) for p in sorted(U)))
+        finite = minimal_open_nesting(X)
+        back = pullback(incl, finite)
+        assert finite.pointwise and back.pointwise
+        for seq in finite_sequences(sub, max_len=3)[1:]:
+            assert back.region(seq) == intersection(
+                [back.region((x,)) for x in seq])
+
+    def test_other_constructors_are_not(self):
+        realm = PLRealm(1)
+        eta = cover_generated(realm, UniformBallRule(F(1, 4)))
+        W = OpenBall((F(0),), F(4))
+        others = [restrict(eta, W), extend_to_ambient(eta, W, realm),
+                  intersect_family(lambda x: eta, realm),
+                  broken_demo_nesting(realm, UniformBallRule(F(1, 4))),
+                  pullback(AffineMap(((F(1),),), (F(0),)),
+                           broken_demo_nesting(realm,
+                                               UniformBallRule(F(1, 4))))]
+        assert not any(o.pointwise for o in others)
+
+
+PUNCTURE = (F(1, 3), F(1, 5))
+
+
+class TestPuncturedRule:
+    def test_axioms(self):
+        # samples lie on the grid of eighths, which misses the puncture
+        for c in (F(1, 9), F(1, 4), F(1, 2)):
+            eta = cover_generated(PLRealm(2), PuncturedBallRule(PUNCTURE, c))
+            seqs = pl_sample_sequences([(F(0), F(0)), (F(1), F(0))],
+                                       seed=3, budget=150)
+            rep = check_axioms(eta, seqs)
+            assert rep.passed, rep.violations[:3]
+
+    def test_radius_grows_with_the_distance(self):
+        rule = PuncturedBallRule(PUNCTURE, F(1, 4))
+        x = (F(1, 3), F(6, 5))
+        assert rule.region_at(x) == OpenBall(x, F(1, 4))
+        assert not contains_point(rule.region_at(x), PUNCTURE)
+
+    def test_undefined_at_the_puncture(self):
+        eta = cover_generated(PLRealm(2), PuncturedBallRule(PUNCTURE, F(1, 2)))
+        with pytest.raises(NestingError, match="puncture"):
+            eta.region(((F(0), F(0)), PUNCTURE))
+        with pytest.raises(NestingError, match="puncture"):
+            in_c_eta([(F(0), F(0)), (F(2, 3), F(2, 5))], eta)
+
+    @pytest.mark.parametrize("c", [0, 1, F(3, 2), -1])
+    def test_ball_must_miss_the_puncture(self, c):
+        with pytest.raises(NestingError, match="0 < c < 1"):
+            PuncturedBallRule(PUNCTURE, c)
+
+
 class TestExtension:
     def _setup(self):
         realm = PLRealm(1)
@@ -352,6 +418,124 @@ def all_chains_in_c_eta(points, eta, max_len=None):
             if res is Tri.FALSE:
                 return False
     return True
+
+
+def chains_to_top(size):
+    """Strict chains of index subsets ending at range(size), each grown
+    downward through every proper nonempty subset of its smallest face."""
+    out = []
+
+    def down(chain):
+        out.append(chain)
+        first = chain[0]
+        for sub in itertools.product((False, True), repeat=len(first)):
+            face = tuple(i for i, keep in zip(first, sub) if keep)
+            if face and face != first:
+                down((face,) + chain)
+
+    down((tuple(range(size)),))
+    return out
+
+
+def chain_walk(points, eta):
+    """The chain verdict of small-chain membership: the smallest face of
+    every strict chain ending at the top inside the region at the chain's
+    barycenters; FALSE if any chain is FALSE, else UNKNOWN if any is."""
+    verdicts = set()
+    for chain in chains_to_top(len(points)):
+        barys = [tuple(sum(points[i][j] for i in s) / len(s)
+                       for j in range(len(points[0]))) for s in chain]
+        verdicts.add(regions.simplex_in_region(
+            [points[i] for i in chain[0]], eta.region(barys)))
+    for v in (Tri.FALSE, Tri.UNKNOWN):
+        if v in verdicts:
+            return v
+    return Tri.TRUE
+
+
+def three_valued(fn, *args):
+    """fn's bool verdict as a Tri, UnknownContainment as UNKNOWN."""
+    try:
+        return Tri.TRUE if fn(*args) else Tri.FALSE
+    except UnknownContainment:
+        return Tri.UNKNOWN
+
+
+def undecided_balls(monkeypatch, far):
+    """Let region inclusion treat every ball centred beyond ``far`` in the
+    first coordinate as a region it cannot decide: a vertex outside is
+    still FALSE, but all vertices inside give UNKNOWN, as for a non-convex
+    region."""
+    is_convex = regions.is_convex
+
+    def patched(region):
+        if isinstance(region, OpenBall) and region.center[0] > far:
+            return False
+        return is_convex(region)
+
+    monkeypatch.setattr(regions, "is_convex", patched)
+
+
+def random_plane_simplices(seed, count, box=2):
+    rng = random.Random(seed)
+    return [[(F(rng.randint(-4 * box, 4 * box), 4),
+              F(rng.randint(-4 * box, 4 * box), 4))
+             for _ in range(rng.choice((1, 2, 3)))] for _ in range(count)]
+
+
+class TestPairRoute:
+    """in_c_eta on a pointwise oracle asks face-coface pairs; its
+    three-valued verdict equals the chain walk's."""
+
+    def corpus(self):
+        K = OrderedSimplicialComplex.standard_simplex(2)
+        R = Realization({0: (F(1), F(0), F(0)), 1: (F(0), F(1), F(0)),
+                         2: (F(0), F(0), F(1))})
+        SK = subdivide(K).complex
+        R2 = R.extended_to(SK)
+        cases = []
+        for r in (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(2)):
+            eta = cover_generated(PLRealm(3), UniformBallRule(r))
+            cases += [(face_points(cx, R2, key), eta)
+                      for cx in (K, SK) for key in cx.all_faces()]
+        plane = random_plane_simplices(4, 40)
+        for c in (F(1, 4), F(1, 2)):
+            eta = cover_generated(PLRealm(2), PuncturedBallRule(PUNCTURE, c))
+            cases += [(pts, eta) for pts in plane]
+        chart = AffineMap(((F(1), F(1), F(0)), (F(0), F(2), F(1))),
+                          (F(0), F(0)))
+        back = pullback(chart, cover_generated(PLRealm(2),
+                                               UniformBallRule(F(3, 2))))
+        cases += [(face_points(cx, R2, key), back)
+                  for cx in (K, SK) for key in cx.all_faces()]
+        return cases
+
+    def assert_routes_agree(self):
+        seen = set()
+        for pts, eta in self.corpus():
+            want = chain_walk(pts, eta)
+            assert three_valued(in_c_eta, pts, eta) is want, pts
+            seen.add(want)
+        return seen
+
+    def test_pairs_equal_chains(self):
+        assert self.assert_routes_agree() == {Tri.TRUE, Tri.FALSE}
+
+    def test_pairs_equal_chains_with_undecided_regions(self, monkeypatch):
+        undecided_balls(monkeypatch, F(1, 4))
+        assert self.assert_routes_agree() == {Tri.TRUE, Tri.FALSE,
+                                              Tri.UNKNOWN}
+
+    def test_chain_walk_for_other_oracles(self, monkeypatch):
+        # a non-pointwise oracle walks the chains; the counted evaluations
+        # show which sequences were asked
+        eta = broken_demo_nesting(PLRealm(2), UniformBallRule(F(1)))
+        asked = []
+        ev = eta._eval
+        eta._eval = lambda seq: asked.append(len(seq)) or ev(seq)
+        pts = [(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2))]
+        assert three_valued(in_c_eta, pts, eta) is chain_walk(pts, eta)
+        assert max(asked) == 3
 
 
 class TestInCEta:

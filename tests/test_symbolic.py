@@ -1,17 +1,25 @@
 """Formal chains of symbolic simplices: sums, boundaries, images and
-pushforwards, with coefficients checked term by term."""
+pushforwards, with coefficients checked term by term; small-chain
+membership by face-coface pairs against the chain walk."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from nestrix.regions import AffineMap
+from nestrix import symbolic
+from nestrix.covering import small_chain_projection
+from nestrix.nesting import PLRealm, UniformBallRule, cover_generated
+from nestrix.regions import AffineMap, Tri
 from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
     SymbolicError,
     cone_simplex,
+    image_in_region,
+    symbolic_in_c_eta,
 )
+from test_nesting import chains_to_top, undecided_balls
 
 F = Fraction
 A = AffineSimplex([(0, 0), (1, 0)])
@@ -82,3 +90,56 @@ def test_boundary_adds_repeated_faces():
                                                       point(0, 0): -1}
     assert FormalChain.single(POINT).boundary().is_zero()
     assert FormalChain.single(A).boundary().boundary().is_zero()
+
+
+def symbolic_chain_walk(simplex, eta):
+    """The chain verdict of small-chain membership of a symbolic simplex:
+    FALSE if the image of some chain's smallest face leaves the region at
+    the chain's barycenters, else UNKNOWN if some test is undecided."""
+    verdicts = set()
+    for chain in chains_to_top(simplex.dim + 1):
+        faces = [symbolic._subsimplex(simplex, s) for s in chain]
+        region = eta.region([f.barycenter() for f in faces])
+        verdicts.add(image_in_region(faces[0], region))
+    for v in (Tri.FALSE, Tri.UNKNOWN):
+        if v in verdicts:
+            return v
+    return Tri.TRUE
+
+
+@functools.cache
+def projected_simplices():
+    """(simplex, ball nesting) for every simplex of pi and h of the
+    projections of the 1- and 2-simplex under balls of a few radii, each
+    also under balls of a quarter of the squared radius."""
+    out = []
+    for k in (1, 2):
+        for r in (Fraction(2), Fraction(3, 4), Fraction(3, 5),
+                  Fraction(1, 2)):
+            eta = cover_generated(PLRealm(k + 1), UniformBallRule(r))
+            data = small_chain_projection(k, eta, n_cap=3)
+            simplices = {s for values in (data.pi, data.h)
+                         for chain in values.values() for s in chain.terms}
+            for nesting in (eta, cover_generated(PLRealm(k + 1),
+                                                 UniformBallRule(r / 4))):
+                out += [(s, nesting) for s in simplices]
+    return out
+
+
+def assert_routes_agree():
+    seen = set()
+    for simplex, eta in projected_simplices():
+        want = symbolic_chain_walk(simplex, eta)
+        assert symbolic_in_c_eta(simplex, eta) is want, simplex
+        seen.add(want)
+    return seen
+
+
+def test_pairs_equal_chains():
+    assert assert_routes_agree() == {Tri.TRUE, Tri.FALSE}
+
+
+def test_pairs_equal_chains_with_undecided_regions(monkeypatch):
+    projected_simplices()
+    undecided_balls(monkeypatch, Fraction(1, 4))
+    assert assert_routes_agree() == {Tri.TRUE, Tri.FALSE, Tri.UNKNOWN}
