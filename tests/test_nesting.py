@@ -531,8 +531,13 @@ class TestPairRoute:
         # show which sequences were asked
         eta = broken_demo_nesting(PLRealm(2), UniformBallRule(F(1)))
         asked = []
-        ev = eta._eval
-        eta._eval = lambda seq: asked.append(len(seq)) or ev(seq)
+        evaluate = eta._eval
+
+        def counted(seq):
+            asked.append(len(seq))
+            return evaluate(seq)
+
+        eta._eval = counted
         pts = [(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2))]
         assert three_valued(in_c_eta, pts, eta) is chain_walk(pts, eta)
         assert max(asked) == 3
