@@ -12,11 +12,10 @@ plus containment of the face and its target in the covering set.  The
 validator checks every condition exactly (three-valued region inclusion,
 undecided fails closed) in one walk over the faces, reporting failures in
 face order, and it alone makes a candidate a compatible covering: no
-construction here is trusted without it.  For a pointwise nesting
-(cover-generated, or pulled back from one) the region at a chain is the
-intersection of the regions at its members, so condition iii is asked
-once per face and coface: each face's covering set must lie in the region
-at each coface's target.  Other nestings are asked along every chain.
+construction here is trusted without it.  A nesting's region at a chain
+is the intersection of the regions at its members (``nesting``), so
+condition iii is asked once per face and coface: each face's covering set
+must lie in the region at each coface's target.
 
 ``find_covering`` searches for the least subdivision depth at which a
 candidate validates.  Every face gets its own hull; targets sit at
@@ -49,7 +48,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import frac, frac_str
-from .nesting import NestingOracle, face_chains_to_top, in_c_eta, pullback
+from .nesting import NestingOracle, in_c_eta, pullback
 from .regions import (
     AffineMap,
     Polytope,
@@ -180,29 +179,29 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
 
     One walk over the assigned faces, in face order, decides conditions ii
     and iii.  Each face ``top`` is the larger face of a nested pair with
-    each of its assigned proper faces (condition ii).  Condition iii asks
-    for a pointwise ``eta`` (cover-generated or pulled back from one) that
-    every assigned face of ``top``, ``top`` included, lie in eta at the
-    target of ``top`` alone: a chain region is then the intersection of
-    its members' regions, so this is the chain condition, pair by pair.
-    The records are ``("chain-region", {"face", "coface", "verdict"})``.
-    Any other ``eta`` walks the strict face chains ending at ``top``
-    (``nesting.face_chains_to_top``) whose faces are all assigned, with
-    records ``("chain-region", {"chain", "verdict"})``.  Failures come out
-    as condition i, then ii, then iii, each in face order of the larger
-    face (``top``), then of the smaller, whatever the hash seed.  One cache
-    of membership and inclusion verdicts (see ``regions.contains_point``
-    and ``regions.region_contains``) lives for the length of the call, so
+    each of its assigned proper faces (condition ii), and the coface of a
+    condition-iii pair with each of its assigned faces, ``top`` included:
+    the face's covering set must lie in eta at the target of ``top``
+    alone.  Since eta at a chain of targets is the intersection of the
+    regions at its members, and a containment in an intersection is TRUE
+    iff it is TRUE for every member and FALSE if it is FALSE for one, the
+    pairs decide the condition on every strict chain of assigned faces,
+    verdict for verdict.  The records are ``("chain-region", {"face",
+    "coface", "verdict"})``.  Failures come out as condition i, then ii,
+    then iii, each in face order of the larger face (``top``), then of the
+    smaller, whatever the hash seed.  One cache of membership and
+    inclusion verdicts (see ``regions.contains_point`` and
+    ``regions.region_contains``) lives for the length of the call, so
     nothing outlives the validation.
 
     ``checked`` is for a caller that extends a covering which already
     passed this validation against the same ``eta`` object (the cylinder's
     lower part).  A face it assigns the same (W, t) on the same vertex
-    points is settled: a face condition on it and a pair or chain of such
-    faces each ask exactly the question that ``checked``'s validation
-    answered TRUE, so they are not asked again.  Everything that touches
-    another face is checked in full, in the same order, so the failures
-    are those of a full validation.
+    points is settled: a face condition on it and a pair of such faces
+    each ask exactly the question that ``checked``'s validation answered
+    TRUE, so they are not asked again.  Everything that touches another
+    face is checked in full, in the same order, so the failures are those
+    of a full validation.
     """
     failures, nested, chained = [], [], []
     cache = {}
@@ -226,7 +225,6 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
             failures.append(("face-in-set", {"face": order,
                                              "verdict": res.value}))
     position = {key: i for i, key in enumerate(faces)}
-    chains_by_size = {}     # face size -> (index chains, index subsets)
     for top in faces:
         order = cx.order(top)
         W_top, t_top = assigned[top]
@@ -237,39 +235,21 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
              for k in map(frozenset, combinations(order, size))
              if k in assigned and not (top in settled and k in settled)),
             key=position.__getitem__)
-        for key in subfaces:
-            if key == top:
-                continue
-            res = region_contains(W_top, assigned[key][0], cache)
-            if res is not Tri.TRUE:
-                nested.append(("nested-sets", {
-                    "small": cx.order(key), "large": order,
-                    "verdict": res.value}))
-        if eta.pointwise:
-            if subfaces:
-                region = eta.region((t_top,))
-            for key in subfaces:
-                res = region_contains(region, assigned[key][0], cache)
-                if res is not Tri.TRUE:
-                    chained.append(("chain-region", {
-                        "face": cx.order(key), "coface": order,
-                        "verdict": res.value}))
+        if not subfaces:
             continue
-        if len(order) not in chains_by_size:
-            chains = face_chains_to_top(order)
-            chains_by_size[len(order)] = chains, {s for c in chains for s in c}
-        chains, subsets = chains_by_size[len(order)]
-        face_of = {s: frozenset(order[i] for i in s) for s in subsets}
-        for chain in chains:
-            keys = [face_of[s] for s in chain]
-            if not all(k in assigned for k in keys) or \
-                    settled.issuperset(keys):
-                continue
-            region = eta.region([assigned[k][1] for k in keys])
-            res = region_contains(region, assigned[keys[0]][0], cache)
+        region = eta.region((t_top,))
+        for key in subfaces:
+            W = assigned[key][0]
+            if key != top:
+                res = region_contains(W_top, W, cache)
+                if res is not Tri.TRUE:
+                    nested.append(("nested-sets", {
+                        "small": cx.order(key), "large": order,
+                        "verdict": res.value}))
+            res = region_contains(region, W, cache)
             if res is not Tri.TRUE:
                 chained.append(("chain-region", {
-                    "chain": [cx.order(k) for k in keys],
+                    "face": cx.order(key), "coface": order,
                     "verdict": res.value}))
     failures += nested + chained
     return CoveringValidation(not failures, failures)

@@ -1,7 +1,6 @@
-"""Exact region algebra for the two nesting realms.
+"""Exact region algebra for the nesting realm Q^d.
 
-Regions are open subsets of Q^d (piecewise-linear realm) or opens of a
-finite space, built from balls, finite-space opens, finite intersections
+Regions are open subsets of Q^d, built from balls, finite intersections
 and affine preimages; closed convex polytopes appear as covering sets.
 Membership of a rational point is always decidable, in a polytope as long
 as its vertices are affinely independent (simplex faces); inclusion between
@@ -215,14 +214,6 @@ class OpenBall(Region):
 
 
 @dataclass(frozen=True)
-class FiniteSpaceOpen(Region):
-    points: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", frozenset(self.points))
-
-
-@dataclass(frozen=True)
 class Intersection(Region):
     members: tuple
 
@@ -285,17 +276,6 @@ def intersection(members) -> Region:
     for m in flat:
         if m not in out:
             out.append(m)
-    # finite-space members intersect exactly
-    finite = [m for m in out if isinstance(m, FiniteSpaceOpen)]
-    if finite:
-        pts = finite[0].points
-        for m in finite[1:]:
-            pts = pts & m.points
-        rest = [m for m in out if not isinstance(m, FiniteSpaceOpen)]
-        if not pts and not rest:
-            return Empty()
-        merged = FiniteSpaceOpen(pts)
-        out = rest + [merged] if rest else [merged]
     # pairwise-disjoint open balls force emptiness
     balls = [m for m in out if isinstance(m, OpenBall)]
     for i in range(len(balls)):
@@ -333,8 +313,6 @@ def is_convex(region: Region) -> bool:
 def is_certainly_empty(region: Region) -> bool:
     if isinstance(region, Empty):
         return True
-    if isinstance(region, FiniteSpaceOpen):
-        return not region.points
     if isinstance(region, Polytope):
         return not region.vertices
     if isinstance(region, Intersection):
@@ -347,8 +325,7 @@ def is_certainly_empty(region: Region) -> bool:
 # membership
 
 def contains_point(region: Region, x, cache=None) -> bool:
-    """Exact membership.  PL points are coordinate tuples, finite-space
-    points are labels; mixing realms raises.
+    """Exact membership of a point, given as a coordinate tuple.
 
     ``cache``, when given, is a dict the caller owns for the length of one
     computation.  It keeps the verdicts for ``Polytope`` and
@@ -364,10 +341,6 @@ def contains_point(region: Region, x, cache=None) -> bool:
         return False
     if isinstance(region, OpenBall):
         return sqdist(region.center, x) < region.sq_radius
-    if isinstance(region, FiniteSpaceOpen):
-        if isinstance(x, tuple) and x and isinstance(x[0], Fraction):
-            raise RegionError("coordinate point tested against a finite open")
-        return x in region.points
     if isinstance(region, Intersection):
         return all(contains_point(m, x, cache) for m in region.members)
     if isinstance(region, (Polytope, AffinePreimage)):
@@ -507,12 +480,6 @@ def _inclusion(outer: Region, inner: Region, cache) -> Tri:
         return Tri.TRUE
     if isinstance(outer, Ambient):
         return Tri.TRUE
-    if isinstance(inner, FiniteSpaceOpen) or isinstance(outer, FiniteSpaceOpen):
-        mi = _materialize_finite(inner)
-        mo = _materialize_finite(outer)
-        if mi is not None and mo is not None:
-            return Tri.TRUE if mi <= mo else Tri.FALSE
-        return Tri.UNKNOWN
     if isinstance(outer, Empty):
         return Tri.FALSE if _certainly_nonempty(inner) else Tri.UNKNOWN
     if isinstance(outer, Intersection):
@@ -558,27 +525,9 @@ def _inclusion(outer: Region, inner: Region, cache) -> Tri:
     return Tri.UNKNOWN
 
 
-def _materialize_finite(region: Region):
-    if isinstance(region, FiniteSpaceOpen):
-        return region.points
-    if isinstance(region, Empty):
-        return frozenset()
-    if isinstance(region, Intersection):
-        parts = [_materialize_finite(m) for m in region.members]
-        if any(p is None for p in parts):
-            return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = out & p
-        return out
-    return None
-
-
 def _certainly_nonempty(region: Region) -> bool:
     if isinstance(region, (Ambient, OpenBall)):
         return True
-    if isinstance(region, FiniteSpaceOpen):
-        return bool(region.points)
     if isinstance(region, Polytope):
         return bool(region.vertices)
     return False
@@ -628,8 +577,6 @@ def region_descriptor(region: Region):
     if isinstance(region, OpenBall):
         return ["ball", [frac_str(c) for c in region.center],
                 frac_str(region.sq_radius)]
-    if isinstance(region, FiniteSpaceOpen):
-        return ["finite-open", sorted(map(str, region.points))]
     if isinstance(region, Intersection):
         return ["intersection", [region_descriptor(m) for m in region.members]]
     if isinstance(region, Polytope):

@@ -729,7 +729,7 @@ def example03_reproduce() -> dict:
         Ux = X.minimal_open(x)
         gx = F.restriction(U1, Ux).apply(f1) == F.restriction(U2, Ux).apply(f2)
         germs_ok = germs_ok and gx
-    record("germ-agreement-pointwise", germs_ok, {"points": sorted(inter)})
+    record("germ-agreement-at-each-point", germs_ok, {"points": sorted(inter)})
 
     # (c) the pair defines a section of the sheafification over X
     res = sheafify(F)

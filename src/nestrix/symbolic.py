@@ -302,19 +302,19 @@ def _subsimplex(simplex: SymbolicSimplex, indices):
 
 
 def symbolic_in_c_eta(simplex: SymbolicSimplex, eta: NestingOracle) -> Tri:
-    """Small-chain membership via proper face chains ending at the simplex,
-    or via face-coface pairs when eta is pointwise (see
-    ``nesting.small_chain_tests``): FALSE if any test is FALSE, else
+    """Small-chain membership by face-coface pairs (see
+    ``nesting.small_chain_tests``): each face's image must lie in eta at
+    the coface's barycenter, which decides the condition on every strict
+    face chain ending at the simplex.  FALSE if any test is FALSE, else
     UNKNOWN if any is undecided."""
-    tests = small_chain_tests(simplex.dim + 1, eta.pointwise)
-    subs = {s: _subsimplex(simplex, s) for s, _ in tests}
+    tests = small_chain_tests(simplex.dim + 1)
+    subs = {t: _subsimplex(simplex, t) for _, t in tests}
     barys = {}
     verdict = Tri.TRUE
-    for face, seq in tests:
-        for s in seq:
-            if s not in barys:
-                barys[s] = subs[s].barycenter()
-        res = image_in_region(subs[face], eta.region([barys[s] for s in seq]))
+    for face, coface in tests:
+        if coface not in barys:
+            barys[coface] = subs[coface].barycenter()
+        res = image_in_region(subs[face], eta.region((barys[coface],)))
         if res is Tri.FALSE:
             return Tri.FALSE
         if res is Tri.UNKNOWN:

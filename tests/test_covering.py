@@ -39,7 +39,6 @@ from nestrix.nesting import (
     PLRealm,
     PuncturedBallRule,
     UniformBallRule,
-    broken_demo_nesting,
     cover_generated,
     pullback,
 )
@@ -541,11 +540,8 @@ def assert_pairs_match_chains(pairs, verdicts):
 def assert_walk_equals_reference(cov, eta, checked=None):
     """The validation's verdict and failures equal the reference walk's,
     and its failures come out as conditions i, ii, iii, each in face order
-    of the larger face, then of the smaller.
-
-    A pointwise eta's condition-iii records are face-coface pairs, read
-    against the reference's chain verdicts; any other eta's are chains,
-    equal to the reference's failing chains."""
+    of the larger face, then of the smaller.  The condition-iii records
+    are face-coface pairs, read against the reference's chain verdicts."""
     report = validate_covering(cov, eta, checked=checked)
     want, verdicts = reference_walk(cov, eta, checked)
     failing = {c: v for c, v in verdicts.items() if v is not regions.Tri.TRUE}
@@ -553,23 +549,14 @@ def assert_walk_equals_reference(cov, eta, checked=None):
     assert collections.Counter(
         (kind, repr(p)) for kind, p in report.failures
         if kind != "chain-region") == want
-    cx = cov.complex
-    if eta.pointwise:
-        assert_pairs_match_chains(failing_pairs(report), verdicts)
-    else:
-        assert collections.Counter(
-            repr(p) for kind, p in report.failures
-            if kind == "chain-region") == collections.Counter(
-            repr({"chain": [cx.order(k) for k in c], "verdict": v.value})
-            for c, v in failing.items())
+    assert_pairs_match_chains(failing_pairs(report), verdicts)
     rank = {"zero-face-pin": 0, "target-in-set": 0, "face-in-set": 0,
             "nested-sets": 1, "chain-region": 2}
     position = {key: i for i, key in
                 enumerate(simplicial.sorted_faces(cov.assignments))}
 
     def walked(kind, p):
-        larger = p["chain"][-1] if "chain" in p else \
-            p.get("coface") or p.get("large") or p["face"]
+        larger = p.get("coface") or p.get("large") or p["face"]
         smaller = p.get("small") or p.get("face") or larger
         return (rank[kind], position[frozenset(larger)],
                 position[frozenset(smaller)])
@@ -610,20 +597,6 @@ def test_validation_equals_reference_walk_on_planted_failures():
             assert report.passed == (checked is bad)
             assert (kind in {f for f, _ in report.failures}) == \
                 (checked is not bad)
-
-
-def test_other_oracles_are_validated_by_their_chains():
-    """An oracle that is not pointwise takes the chain walk; the planted
-    one, which reads the last point's region only, still fails the moved
-    covering there, with chain records equal to the reference's."""
-    eta, valid, nested, moved = planted_coverings()
-    broken = broken_demo_nesting(PLRealm(3), UniformBallRule(Fraction(2)))
-    assert eta.pointwise and not broken.pointwise
-    assert assert_walk_equals_reference(valid, broken).passed
-    report = assert_walk_equals_reference(moved, broken)
-    records = [p for kind, p in report.failures if kind == "chain-region"]
-    assert not report.passed and records
-    assert all(set(p) == {"chain", "verdict"} for p in records)
 
 
 PUNCTURE = (Fraction(0), Fraction(0))
@@ -773,18 +746,18 @@ def test_nesting_must_live_where_the_simplex_does(monkeypatch):
         small_chain_projection(1, ball_nesting(3, Fraction(2)), n_cap=1)
 
 
-def test_oracles_evaluate_each_sequence_once(monkeypatch):
+def test_oracles_evaluate_each_point_once(monkeypatch):
     evals = collections.Counter()
     oracles = []
 
     def counted(oracle):
-        evaluate = oracle._eval
+        evaluate = oracle.point_region
 
-        def wrapped(seq):
-            evals[id(oracle), seq] += 1
-            return evaluate(seq)
+        def wrapped(x):
+            evals[id(oracle), x] += 1
+            return evaluate(x)
 
-        oracle._eval = wrapped
+        oracle.point_region = wrapped
         oracles.append((oracle, evaluate))
         return oracle
 
@@ -798,8 +771,8 @@ def test_oracles_evaluate_each_sequence_once(monkeypatch):
     for oracle, evaluate in oracles:
         assert len(oracle._memo) == sum(
             1 for (i, _) in evals if i == id(oracle))
-        for seq, region in oracle._memo.items():
-            assert region == evaluate(seq)
+        for x, region in oracle._memo.items():
+            assert region == evaluate(x)
 
 
 def reference_uid(cov):

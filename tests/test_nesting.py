@@ -1,20 +1,20 @@
 import itertools
 import random
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from nestrix import regions
-from nestrix.finite_space import FiniteSpace, example03_space, pseudocircle
 from nestrix.regions import (
     AffineMap,
     Ambient,
     Empty,
-    FiniteSpaceOpen,
-    Intersection,
     OpenBall,
     Polytope,
+    Region,
+    RegionError,
     Tri,
     ball_in_ball,
     contains_point,
@@ -26,33 +26,16 @@ from nestrix.regions import (
     sqrtsum_leq,
 )
 from nestrix.nesting import (
-    AxiomReport,
-    BallNetRule,
-    CoverSpec,
-    CoverageError,
-    FiniteMap,
-    FiniteRealm,
-    MinimalOpenRule,
     NestingError,
     PLRealm,
     PuncturedBallRule,
-    TableRule,
     UniformBallRule,
     UnknownContainment,
-    broken_demo_nesting,
     check_axioms,
     cover_generated,
-    extend_to_ambient,
-    finite_sequences,
-    in_c_cover,
     in_c_eta,
-    intersect_family,
-    minimal_open_nesting,
     pl_sample_sequences,
     pullback,
-    restrict,
-    subdivision_retraction,
-    validate_coverage,
 )
 from nestrix.simplicial import (
     OrderedSimplicialComplex,
@@ -66,15 +49,26 @@ F = Fraction
 
 
 @dataclass(frozen=True)
-class RestrictedRule:
-    base: object
-    window: object
+class ConstantRule:
+    """Test-local rule: the same region at every point."""
+
+    region: object
 
     def region_at(self, x):
-        return intersection([self.base.region_at(x), self.window])
+        return self.region
 
-    def descriptor(self):
-        return ("restricted", self.base.descriptor())
+
+@dataclass(frozen=True)
+class LastPointOracle:
+    """Test-local planted defect: eta at a sequence is the rule's region
+    at its last point only, so axiom iii fails."""
+
+    realm: PLRealm
+    rule: object
+
+    def region(self, points):
+        seq = tuple(points)
+        return self.rule.region_at(seq[-1]) if seq else Ambient()
 
 
 class TestRegions:
@@ -96,12 +90,6 @@ class TestRegions:
         assert isinstance(intersection([a, Empty()]), Empty)
         far = OpenBall((F(1),), F(1, 16))
         assert isinstance(intersection([a, far]), Empty)
-
-    def test_finite_open_materialization(self):
-        a = FiniteSpaceOpen(frozenset({1, 2, 3}))
-        b = FiniteSpaceOpen(frozenset({2, 3, 4}))
-        got = intersection([a, b])
-        assert got == FiniteSpaceOpen(frozenset({2, 3}))
 
     def test_polytope_membership(self):
         tri = Polytope(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
@@ -150,16 +138,8 @@ class TestRegions:
 
 class TestCoverGenerated:
     def test_constant_ambient(self):
-        realm = PLRealm(1)
-        rule = TableRule((((F(0),), Ambient()), ((F(1),), Ambient())))
-        eta = cover_generated(realm, rule)
+        eta = cover_generated(PLRealm(1), ConstantRule(Ambient()))
         assert eta.region(((F(0),), (F(1),))) == Ambient()
-
-    def test_minimal_open_values(self):
-        X = example03_space()
-        eta = minimal_open_nesting(X)
-        got = eta.region((2, 5))
-        assert got == FiniteSpaceOpen(frozenset({2, 3}))
 
     def test_disjoint_balls_empty(self):
         realm = PLRealm(1)
@@ -167,10 +147,30 @@ class TestCoverGenerated:
         got = eta.region(((F(0),), (F(1),)))
         assert isinstance(got, Empty)
 
-    def test_rule_must_contain_point(self):
-        bad = TableRule((((F(0),), OpenBall((F(5),), F(1, 16))),))
-        with pytest.raises(NestingError):
-            cover_generated(PLRealm(1), bad)
+
+class TestConstructionErrors:
+    """Bad constructor arguments raise NestingError naming the value."""
+
+    @pytest.mark.parametrize("dim", [True, 2.0, "2", -1])
+    def test_realm_dimension(self, dim):
+        with pytest.raises(NestingError, match=re.escape(f"got {dim!r}")):
+            PLRealm(dim)
+
+    @pytest.mark.parametrize("sq_radius", [True, False])
+    def test_ball_radius_is_not_a_bool(self, sq_radius):
+        with pytest.raises(NestingError, match=f"got {sq_radius!r}"):
+            UniformBallRule(sq_radius)
+
+    def test_puncture_is_a_point(self):
+        with pytest.raises(NestingError, match=re.escape("got ()")):
+            PuncturedBallRule((), F(1, 2))
+
+    def test_puncture_lives_in_the_realm(self):
+        rule = PuncturedBallRule((0, 0), F(1, 2))
+        with pytest.raises(NestingError,
+                           match=r"has length 2; .* dimension 3"):
+            cover_generated(PLRealm(3), rule)
+        cover_generated(PLRealm(2), rule)
 
 
 class TestPullback:
@@ -182,44 +182,11 @@ class TestPullback:
         for seq in [((F(0), F(0)),), ((F(0), F(0)), (F(1, 2), F(0)))]:
             assert back.region(seq) == eta.region(seq)
 
-    def test_inclusion_equals_restriction(self):
-        X = example03_space()
-        eta = minimal_open_nesting(X)
-        U = frozenset({2, 3, 4})
-        sub_pts = tuple(sorted(U))
-        sub_opens = {o & U for o in X.opens}
-        sub = FiniteSpace(sub_pts, sub_opens)
-        incl = FiniteMap(sub, X, tuple((p, p) for p in sub_pts))
-        via_pullback = pullback(incl, eta)
-        via_restrict = restrict(eta, U)
-        for seq in finite_sequences(sub, max_len=2):
-            a = via_pullback.region(seq)
-            b = via_restrict.region(seq)
-            assert region_contains(a, b) is Tri.TRUE
-            assert region_contains(b, a) is Tri.TRUE
-
-    def test_quotient_map_axioms(self):
-        # collapse the two closed points of the pseudocircle to one
-        X = pseudocircle()
-        Y = FiniteSpace.from_basis(("x", "y", "c"),
-                                   [{"x"}, {"y"}, {"x", "y", "c"}])
-        q = FiniteMap(X, Y, (("x", "x"), ("y", "y"), ("c", "c"), ("d", "c")))
-        eta = minimal_open_nesting(Y)
-        back = pullback(q, eta)
-        rep = check_axioms(back, finite_sequences(X, max_len=3))
-        assert rep.passed, rep.violations[:3]
-
     def test_map_must_land_in_the_realm(self):
         eta = cover_generated(PLRealm(3), UniformBallRule(F(1, 4)))
         into_plane = AffineMap(((F(1),), (F(0),)), (F(0), F(0)))
         with pytest.raises(NestingError, match="dimension 2.*dimension 3"):
             pullback(into_plane, eta)
-        X, Y = pseudocircle(), pseudocircle()
-        same = FiniteMap(X, Y, (("x", "x"), ("y", "y"), ("c", "c"),
-                                ("d", "d")))
-        with pytest.raises(NestingError, match="target"):
-            pullback(same, minimal_open_nesting(X))
-        pullback(same, minimal_open_nesting(Y))
 
     def test_unsupported_map_class(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 4)))
@@ -227,38 +194,59 @@ class TestPullback:
             pullback(lambda x: x, eta)
 
 
-class TestPointwise:
-    """Only cover-generated oracles and their pullbacks are pointwise."""
-
-    def test_cover_generated_and_pullbacks(self):
-        eta = cover_generated(PLRealm(2), UniformBallRule(F(1, 4)))
-        line = AffineMap(((F(1),), (F(2),)), (F(0), F(0)))
-        assert eta.pointwise and pullback(line, eta).pointwise
-        X = example03_space()
-        U = frozenset({2, 3, 4})
-        sub = FiniteSpace(tuple(sorted(U)), {o & U for o in X.opens})
-        incl = FiniteMap(sub, X, tuple((p, p) for p in sorted(U)))
-        finite = minimal_open_nesting(X)
-        back = pullback(incl, finite)
-        assert finite.pointwise and back.pointwise
-        for seq in finite_sequences(sub, max_len=3)[1:]:
-            assert back.region(seq) == intersection(
-                [back.region((x,)) for x in seq])
-
-    def test_other_constructors_are_not(self):
-        realm = PLRealm(1)
-        eta = cover_generated(realm, UniformBallRule(F(1, 4)))
-        W = OpenBall((F(0),), F(4))
-        others = [restrict(eta, W), extend_to_ambient(eta, W, realm),
-                  intersect_family(lambda x: eta, realm),
-                  broken_demo_nesting(realm, UniformBallRule(F(1, 4))),
-                  pullback(AffineMap(((F(1),),), (F(0),)),
-                           broken_demo_nesting(realm,
-                                               UniformBallRule(F(1, 4))))]
-        assert not any(o.pointwise for o in others)
-
-
 PUNCTURE = (F(1, 3), F(1, 5))
+# 2 -> 2, not orthonormal (preimages stay AffinePreimage), and 1 -> 2
+# with orthonormal columns (preimages of balls are balls)
+SHEAR = AffineMap(((F(1), F(1)), (F(0), F(2))), (F(1, 2), F(0)))
+AXIS = AffineMap(((F(1),), (F(0),)), (F(0), F(1, 4)))
+
+
+def point_region_oracles():
+    """Every way to build an oracle: each rule, a pullback and a pullback
+    of a pullback, with sample points of the right dimension."""
+    plane = [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2))]
+    ball = cover_generated(PLRealm(2), UniformBallRule(F(1, 4)))
+    punctured = cover_generated(PLRealm(2),
+                                PuncturedBallRule(PUNCTURE, F(1, 2)))
+    return {
+        "uniform": (ball, plane),
+        "punctured": (punctured, plane),
+        "pullback": (pullback(SHEAR, punctured), plane),
+        "pullback-of-pullback": (pullback(AXIS, pullback(SHEAR, ball)),
+                                 [(F(0),), (F(1, 2),)]),
+    }
+
+
+@pytest.mark.parametrize("name", list(point_region_oracles()))
+def test_region_is_the_intersection_of_point_regions(name):
+    """The face-coface route rests on eta(x1..xm) = the intersection of
+    the eta(x_i), and on eta() being the whole realm."""
+    eta, pool = point_region_oracles()[name]
+    assert eta.region(()) == Ambient()
+    seqs = pl_sample_sequences(pool, seed=7, budget=150)
+    assert max(map(len, seqs)) > 1
+    for seq in seqs:
+        assert eta.region(seq) == intersection(
+            [eta.region((x,)) for x in seq]), seq
+
+
+def test_pullback_is_the_preimage():
+    """x lies in f*eta(x1..xm) iff f(x) lies in eta(f x1, ..., f xm), for
+    a pullback and a pullback of a pullback."""
+    ball = cover_generated(PLRealm(2), UniformBallRule(F(1, 4)))
+    seqs = pl_sample_sequences([(F(0),), (F(1, 2),)], seed=9, budget=60)
+    probes = [(F(i, 8),) for i in range(-8, 9)]
+    seen = set()
+    for f, back in ((AXIS, pullback(AXIS, ball)),
+                    (SHEAR.compose(AXIS),
+                     pullback(AXIS, pullback(SHEAR, ball)))):
+        for seq in seqs:
+            region = ball.region([f.apply(x) for x in seq])
+            for x in probes:
+                inside = contains_point(region, f.apply(x))
+                assert contains_point(back.region(seq), x) == inside
+                seen.add(inside)
+    assert seen == {True, False}
 
 
 class TestPuncturedRule:
@@ -290,93 +278,14 @@ class TestPuncturedRule:
             PuncturedBallRule(PUNCTURE, c)
 
 
-class TestExtension:
-    def _setup(self):
-        realm = PLRealm(1)
-        W = OpenBall((F(0),), F(4))
-        inner_rule = RestrictedRule(UniformBallRule(F(1, 4)), W)
-        eta_w = cover_generated(realm, inner_rule)
-        return realm, W, eta_w, extend_to_ambient(eta_w, W, realm)
-
-    def test_all_inside(self):
-        realm, W, eta_w, ext = self._setup()
-        seq = ((F(0),), (F(1, 2),))
-        assert ext.region(seq) == eta_w.region(seq)
-
-    def test_pattern_violated(self):
-        _, W, _, ext = self._setup()
-        w, z, w2 = (F(0),), (F(10),), (F(1, 2),)
-        assert isinstance(ext.region((w, z, w2)), Empty)
-
-    def test_empty_sequence_is_ambient(self):
-        realm, _, _, ext = self._setup()
-        assert ext.region(()) == Ambient()
-
-    def test_all_outside_gives_ambient(self):
-        # the k = 0 prefix case is repaired to the ambient realm so that
-        # points outside W still receive a neighborhood
-        _, W, _, ext = self._setup()
-        assert ext.region(((F(10),), (F(20),))) == Ambient()
-
-    def test_extension_axioms(self):
-        realm, W, eta_w, ext = self._setup()
-        seqs = pl_sample_sequences([(F(0),), (F(1, 2),), (F(10),)],
-                                   seed=5, budget=150, max_len=3)
-        rep = check_axioms(ext, seqs)
-        assert rep.passed, rep.violations[:3]
-
-
-class TestIntersectFamily:
-    def test_equal_family_length_one(self):
-        realm = PLRealm(1)
-        eta = cover_generated(realm, UniformBallRule(F(1, 4)))
-        fam = intersect_family(lambda x: eta, realm)
-        p = (F(0),)
-        assert fam.region((p,)) == eta.region((p,))
-        # longer sequences only shrink
-        q = (F(1, 8),)
-        assert region_contains(eta.region((p, q)), fam.region((p, q))) is Tri.TRUE
-
-    def test_two_point_finite_family(self):
-        X = FiniteSpace.from_basis((0, 1), [{0}])  # Sierpinski
-        eta0 = minimal_open_nesting(X)
-        full = cover_generated(FiniteRealm(X),
-                               TableRule(((0, FiniteSpaceOpen(frozenset({0, 1}))),
-                                          (1, FiniteSpaceOpen(frozenset({0, 1}))))))
-        fam = intersect_family(lambda x: eta0 if x == 0 else full, FiniteRealm(X))
-        rep = check_axioms(fam, finite_sequences(X, max_len=3))
-        assert rep.passed, rep.violations[:3]
-
-    def test_empty_sequence(self):
-        realm = PLRealm(2)
-        eta = cover_generated(realm, UniformBallRule(F(1)))
-        fam = intersect_family(lambda x: eta, realm)
-        assert fam.region(()) == Ambient()
-
-
 class TestCheckAxioms:
-    def test_minimal_open_exhaustive(self):
-        for X in (example03_space(), pseudocircle()):
-            eta = minimal_open_nesting(X)
-            rep = check_axioms(eta, finite_sequences(X, max_len=3))
-            assert rep.passed
-
     def test_broken_oracle_fails_with_witness(self):
-        realm = PLRealm(1)
-        eta = broken_demo_nesting(realm, UniformBallRule(F(1, 16)))
+        eta = LastPointOracle(PLRealm(1), UniformBallRule(F(1, 16)))
         seqs = [((F(0),), (F(1),))]
         rep = check_axioms(eta, seqs)
         assert not rep.passed
         assert rep.violations[0].axiom == "iii"
         assert rep.violations[0].sequence == ((F(0),), (F(1),))
-
-    def test_extension_of_passing_nesting_passes(self):
-        X = example03_space()
-        U = frozenset({2, 3, 4})
-        eta_sub = restrict(minimal_open_nesting(X), U)
-        ext = extend_to_ambient(eta_sub, U, FiniteRealm(X))
-        rep = check_axioms(ext, finite_sequences(X, max_len=3))
-        assert rep.passed, rep.violations[:3]
 
     def test_pl_uniform_ball_samples(self):
         realm = PLRealm(2)
@@ -484,8 +393,8 @@ def random_plane_simplices(seed, count, box=2):
 
 
 class TestPairRoute:
-    """in_c_eta on a pointwise oracle asks face-coface pairs; its
-    three-valued verdict equals the chain walk's."""
+    """in_c_eta asks face-coface pairs; its three-valued verdict equals the
+    chain walk's."""
 
     def corpus(self):
         K = OrderedSimplicialComplex.standard_simplex(2)
@@ -526,23 +435,6 @@ class TestPairRoute:
         assert self.assert_routes_agree() == {Tri.TRUE, Tri.FALSE,
                                               Tri.UNKNOWN}
 
-    def test_chain_walk_for_other_oracles(self, monkeypatch):
-        # a non-pointwise oracle walks the chains; the counted evaluations
-        # show which sequences were asked
-        eta = broken_demo_nesting(PLRealm(2), UniformBallRule(F(1)))
-        asked = []
-        evaluate = eta._eval
-
-        def counted(seq):
-            asked.append(len(seq))
-            return evaluate(seq)
-
-        eta._eval = counted
-        pts = [(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2))]
-        assert three_valued(in_c_eta, pts, eta) is chain_walk(pts, eta)
-        assert max(asked) == 3
-
-
 class TestInCEta:
     def test_zero_simplex(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
@@ -561,12 +453,6 @@ class TestInCEta:
         eta = cover_generated(PLRealm(2), UniformBallRule(F(1)))
         with pytest.raises(NestingError, match=bad):
             in_c_eta(points, eta)
-
-    def test_mixed_lengths_fail_typed_without_a_realm_dim(self):
-        eta = cover_generated(PLRealm(2), UniformBallRule(F(1)))
-        eta = replace(eta, realm=None)
-        with pytest.raises(NestingError, match=r"\(1\) has length 1, expected 2"):
-            in_c_eta([(0, 0), (1,)], eta)
 
     def test_long_interval_rejected(self):
         eta = cover_generated(PLRealm(1), UniformBallRule(F(1, 64)))
@@ -610,15 +496,8 @@ class TestInCEta:
                     assert sub in accepted
 
     def test_unknown_fails_loudly(self):
-        # non-convex region (intersection is convex; use a preimage of a
-        # finite open to force a realm mismatch error instead)
-        eta = broken_demo_nesting(PLRealm(1), UniformBallRule(F(1)))
-        # broken oracle is fine here; force UNKNOWN via a non-convex stand-in
-
-        class Weird:
-            pass
-
-        from nestrix.regions import Region
+        # a region kind the region algebra does not know is an error, never
+        # a pass
 
         class NonConvex(Region):
             def __eq__(self, other):
@@ -627,104 +506,6 @@ class TestInCEta:
             def __hash__(self):
                 return 7
 
-        nc = NonConvex()
-        oracle = cover_generated(PLRealm(1), TableRule((((F(0),), Ambient()),)))
-        oracle._eval = lambda seq: nc if seq else Ambient()
-        with pytest.raises(Exception):
+        oracle = cover_generated(PLRealm(1), ConstantRule(NonConvex()))
+        with pytest.raises(RegionError, match="unknown region"):
             in_c_eta([(F(0),)], oracle)
-
-
-class TestLemmaImplications:
-    def _corpus(self):
-        K, R = delta1_realized()
-        results, _, _ = iterate_subdivide(K, 6)
-        SK = results[-1].complex
-        R6 = R.extended_to(SK)
-        faces = []
-        for key in SK.all_faces():
-            faces.append([R6.point(v) for v in SK.order(key)])
-        # shifted copies enlarge the corpus beyond one complex
-        shifted = [[tuple(c + F(1, 3) for c in p) for p in pts]
-                   for pts in faces]
-        return faces + shifted
-
-    def test_extension_membership_implication(self):
-        realm = PLRealm(1)
-        W = OpenBall((F(1, 4),), F(1, 3))
-        rule = RestrictedRule(UniformBallRule(F(1, 16)), W)
-        eta_w = cover_generated(realm, rule)
-        ext = extend_to_ambient(eta_w, W, realm)
-        corpus = self._corpus()
-        assert len(corpus) >= 200
-        hits = 0
-        for pts in corpus:
-            bary = tuple(sum(p[i] for p in pts) / len(pts)
-                         for i in range(len(pts[0])))
-            if not contains_point(W, bary):
-                continue
-            if in_c_eta(pts, ext):
-                hits += 1
-                assert all(contains_point(W, p) for p in pts)
-                assert in_c_eta(pts, eta_w)
-        assert hits > 0
-
-    def test_intersection_membership_implication(self):
-        realm = PLRealm(1)
-        small = cover_generated(realm, UniformBallRule(F(1, 32)))
-        big = cover_generated(realm, UniformBallRule(F(4)))
-
-        def family(x):
-            return small if x[0] <= F(1, 2) else big
-
-        fam = intersect_family(family, realm)
-        corpus = self._corpus()
-        hits = 0
-        for pts in corpus:
-            bary = tuple(sum(p[i] for p in pts) / len(pts)
-                         for i in range(len(pts[0])))
-            if in_c_eta(pts, fam):
-                hits += 1
-                assert in_c_eta(pts, family(bary))
-        assert hits > 0
-
-
-class TestCoverSubcomplex:
-    def test_already_inside(self):
-        K, R = delta1_realized()
-        cover = CoverSpec((OpenBall((F(1, 2),), F(1)),))
-        chain = {frozenset({0, 1}): 1}
-        assert subdivision_retraction(K, R, chain, cover) == 0
-
-    def test_two_ball_scenario(self):
-        K, R = delta1_realized()
-        cover = CoverSpec((OpenBall((F(1, 4),), F(9, 64)),
-                           OpenBall((F(3, 4),), F(9, 64))))
-        chain = {frozenset({0, 1}): 1}
-        n = subdivision_retraction(K, R, chain, cover)
-        # derived minimal count, frozen; well within the documented bound 2
-        assert n == 1
-        assert n <= 2
-
-    def test_gap_rejected(self):
-        K, R = delta1_realized()
-        cover = CoverSpec((OpenBall((F(1, 4),), F(1, 16)),
-                           OpenBall((F(3, 4),), F(1, 16))))
-        with pytest.raises(CoverageError):
-            validate_coverage(cover, K, R)
-
-    def test_in_c_cover(self):
-        cover = CoverSpec((OpenBall((F(0),), F(1)),))
-        assert in_c_cover([(F(0),), (F(1, 2),)], cover)
-        assert not in_c_cover([(F(0),), (F(2),)], cover)
-
-    def test_budget_exceeded(self):
-        K, R = delta1_realized()
-        cover = CoverSpec((OpenBall((F(1, 2),), F(100)),
-                           OpenBall((F(0),), F(1, 1000000))))
-        chain = {frozenset({0, 1}): 1}
-        # fine: the huge ball covers everything at n = 0
-        assert subdivision_retraction(K, R, chain, cover) == 0
-        tight = CoverSpec((OpenBall((F(0),), F(26, 100)),
-                           OpenBall((F(1),), F(26, 100))))
-        with pytest.raises(NestingError):
-            subdivision_retraction(K, R, chain, tight, budget=0)
