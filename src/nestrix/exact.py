@@ -37,6 +37,10 @@ grows with bit length), for an r x c matrix A:
   V * Y.
 * (Co)homology of a ``FinChainComplex`` in every degree and with every
   coefficient ring costs one Smith form per boundary per complex.
+* ``Presentation.pruned`` is one Smith form of the relations, whose U and
+  U^-1 are the two isomorphisms; the pruned group is presented on at most
+  as many generators, with only the invariant factors above 1 as
+  relations.
 """
 
 from __future__ import annotations
@@ -725,6 +729,29 @@ class Presentation:
 
     def elements_equal(self, v, w) -> bool:
         return self.element_is_zero(tuple(a - b for a, b in zip(v, w)))
+
+    def pruned(self):
+        """(P, to_pruned, from_pruned): the same group with no unit relation.
+
+        From the relations' Smith form U R V = D, row i of U is a
+        coordinate of Z^rank / im D, the same quotient; rows with d_i = 1
+        are zero there and are dropped.  P has one generator per kept row
+        and the kept d_i > 1 as relations (the divisibility chain puts
+        them first).  ``to_pruned`` (kept rows of U) and ``from_pruned``
+        (kept columns of U^-1) are mutually inverse isomorphisms:
+        to * from = I, and from * to = I - U^-1[:, dropped] U[dropped, :],
+        where each dropped column of U^-1 is U^-1 D e_i = R V e_i, in im R.
+        """
+        snf = smith_normal_form(self.relations)
+        diag = snf.diagonal()
+        kept = [i for i in range(self.rank)
+                if i >= len(diag) or diag[i] != 1]
+        torsion = [diag[i] for i in kept if i < len(diag) and diag[i] > 1]
+        relations = IntMatrix.from_columns(
+            len(kept), [[d if i == j else 0 for i in range(len(kept))]
+                        for j, d in enumerate(torsion)])
+        return (Presentation(len(kept), relations), snf.U.take_rows(kept),
+                snf.U_inv.take_columns(kept))
 
 
 def direct_sum(presentations):

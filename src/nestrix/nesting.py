@@ -131,7 +131,8 @@ class NestingOracle:
     values at several.
 
     ``point_region`` is evaluated once per distinct point; the memo lives
-    on the oracle.  Points are coordinate tuples."""
+    on the oracle.  Points are coordinate tuples; one whose length is not
+    the realm's dimension raises NestingError when it is first seen."""
 
     realm: PLRealm
     point_region: object
@@ -146,6 +147,10 @@ class NestingOracle:
         for x in seq:
             value = memo.get(x)
             if value is None:
+                if len(x) != self.realm.dim:
+                    raise NestingError(
+                        f"nesting point ({', '.join(map(str, x))}) has "
+                        f"length {len(x)}, expected {self.realm.dim}")
                 value = memo[x] = self.point_region(x)
             values.append(value)
         return values[0] if len(values) == 1 else intersection(values)

@@ -10,6 +10,14 @@ minimal-open stalk families.  Three independent sheaf-cohomology pipelines
 are provided (specialization-chain complex, Godement envelopes, Cech on a
 cover) plus the comparison against the order complex's simplicial
 cohomology.
+
+The Godement pipeline carries its envelopes' stalks and its cokernels as
+pruned presentations (``Presentation.pruned``): the relations' Smith form
+gives an isomorphic group with no relation of invariant factor 1, and
+restrictions are conjugated by the pruning isomorphisms.  Isomorphic
+groups and conjugated maps leave every cohomology group unchanged, while
+the matrices stay the size of the groups they present instead of growing
+with the image of every earlier level.
 """
 
 from __future__ import annotations
@@ -42,9 +50,8 @@ from .exact import (
 from .finite_space import FiniteSpace, example03_space
 from .simplicial import sorted_faces, vkey
 
-# largest degree and point count the Godement pipeline takes
+# largest degree the Godement pipeline takes
 GODEMENT_DEGREE_CAP = 3
-GODEMENT_POINT_CAP = 6
 
 
 class SheafError(Exception):
@@ -531,60 +538,97 @@ def sheaf_cohomology_nerve(F: Presheaf, max_degree) -> list:
 
 
 def godement_envelope(F: Presheaf):
-    """G(F)(U) = product of stalks over U, with the canonical unit."""
+    """G(F)(U) = product of stalks over U, with the canonical unit.
+
+    Each stalk is carried pruned (``Presentation.pruned``), so G(F)(U)
+    has no relation with invariant factor 1 and the unit is the germ map
+    followed by each stalk's pruning isomorphism.
+    """
     sp = F.space
+    stalks = {}
+
+    def stalk(x):
+        if x not in stalks:
+            stalks[x] = F.stalk(x).pruned()
+        return stalks[x]
 
     def group_fn(U):
-        return direct_sum([F.stalk(x) for x in sorted(U, key=vkey)])[0]
+        return direct_sum([stalk(x)[0] for x in sorted(U, key=vkey)])[0]
 
     def res_fn(U, V):
         ptsU = sorted(U, key=vkey)
         col = {x: i for i, x in enumerate(ptsU)}
         ptsV = sorted(V, key=vkey)
         return _block_matrix(
-            [F.stalk(x).rank for x in ptsV], [F.stalk(x).rank for x in ptsU],
-            [(i, col[x], 1, IntMatrix.identity(F.stalk(x).rank))
+            [stalk(x)[0].rank for x in ptsV],
+            [stalk(x)[0].rank for x in ptsU],
+            [(i, col[x], 1, IntMatrix.identity(stalk(x)[0].rank))
              for i, x in enumerate(ptsV)])
 
+    def unit(U):
+        rows = [row for x in sorted(U, key=vkey)
+                for row in (stalk(x)[1] * F.restriction(
+                    U, sp.minimal_open(x))).rows_list()]
+        return IntMatrix(len(rows), F.group(U).rank, rows)
+
     G = Presheaf(sp, group_fn, res_fn, name=f"G({F.name})")
-    return G, lambda U: _germs(F, U)
+    return G, unit
 
 
 def _coker_presheaf(F: Presheaf, G: Presheaf, unit_matrix):
-    """Presheaf cokernel of a unit F -> G, on G's coordinates."""
-    sp = F.space
+    """Presheaf cokernel of a unit F -> G, pruned open by open.
 
-    def group_fn(U):
-        return hom_cokernel(unit_matrix(U), F.group(U), G.group(U))
+    Q(U) = coker(F(U) -> G(U)) is carried as the pruned form of
+    G(U) / (unit columns + G's relations): one Smith form per open, and
+    no relation with invariant factor 1 survives.  The restriction is
+    G's, conjugated by the pruning isomorphisms,
+    to(V) * G.restriction(U, V) * from(U).  Returns the presheaf and
+    U -> to(U), the projection G(U) ->> Q(U) in pruned coordinates.
+    """
+    pruned = {}
+
+    def prune(U):
+        if U not in pruned:
+            pruned[U] = hom_cokernel(unit_matrix(U), F.group(U),
+                                     G.group(U)).pruned()
+        return pruned[U]
 
     def res_fn(U, V):
-        return G.restriction(U, V)
+        return prune(V)[1] * G.restriction(U, V) * prune(U)[2]
 
-    return Presheaf(sp, group_fn, res_fn, name=f"coker({F.name})")
+    Q = Presheaf(F.space, lambda U: prune(U)[0], res_fn,
+                 name=f"coker({F.name})")
+    return Q, lambda U: prune(frozenset(U))[1]
 
 
 def sheaf_cohomology_godement(F: Presheaf, max_degree) -> list:
-    """Global sections of iterated stalk-product envelopes, then cohomology."""
-    sp = F.space
+    """Global sections of iterated stalk-product envelopes, then cohomology.
+
+    Each level's cokernel Q_k = G_k / F_k is pruned (``_coker_presheaf``),
+    and so is every stalk of the envelope G_{k+1} of its sheafification
+    (``godement_envelope``): isomorphic groups and conjugated maps, so
+    every answer is that of the unpruned pipeline, while the matrices no
+    longer carry the unit relations that the images of F_k, F_{k-1}, ...
+    and the sheafification's kernel presentations would pile up level
+    after level.  d^k is G_k(X) ->> Q_k(X) -> QS_k(X) -> G_{k+1}(X), the
+    pruning projection, then the two units.
+    """
     if max_degree > GODEMENT_DEGREE_CAP:
         raise CoverCapExceeded(GODEMENT_DEGREE_CAP, max_degree,
                                "godement degree")
-    if len(sp.points) > GODEMENT_POINT_CAP:
-        raise CoverCapExceeded(GODEMENT_POINT_CAP, len(sp.points),
-                               "godement points")
-    X = frozenset(sp.points)
+    X = frozenset(F.space.points)
     cur = F
-    gs_groups = []
+    G, unit = godement_envelope(F)
+    gs_groups = [G.group(X)]
     gs_diffs = []
-    for k in range(max_degree + 2):
-        G, unit = godement_envelope(cur)
-        gs_groups.append(G.group(X))
-        QS = sheafify(_coker_presheaf(cur, G, unit))
-        if k < max_degree + 1:
-            # d^k: G_k(X) ->> Q_k(X) -> QS_k(X) -> G_{k+1}(QS_k)(X); the
-            # unit Q(X) -> QS(X) reads Q in G's coordinates
-            gs_diffs.append(_germs(QS.plus, X) * QS.unit_matrix(X))
+    for _ in range(max_degree + 1):
+        Q, to_pruned = _coker_presheaf(cur, G, unit)
+        QS = sheafify(Q)
         cur = QS.plus
+        G, next_unit = godement_envelope(cur)
+        gs_groups.append(G.group(X))
+        gs_diffs.append(next_unit(X) * QS.unit_matrix(X) * to_pruned(X))
+        unit = next_unit
     return _cochain_cohomology(gs_groups, gs_diffs)
 
 

@@ -23,6 +23,7 @@ from nestrix.exact import (
     hom_is_well_defined,
     hom_kernel,
     hom_preimage,
+    homs_equal,
     homology,
     image_basis,
     kernel_basis,
@@ -621,3 +622,51 @@ class TestPresentations:
         maps2 = [IntMatrix(1, 1, [2]), IntMatrix.zeros(0, 1)]
         s2 = presented_cohomology_at(g2, maps2, 1)
         assert s2.torsion == (2,)
+
+
+def random_relations(rng, rank):
+    """Small-entry relations with torsion columns (a column times 2, 3 or
+    4), zero columns and columns that repeat others."""
+    cols = []
+    for _ in range(rng.randint(0, rank + 2)):
+        kind = rng.random()
+        if kind < 0.2 or not rank:
+            cols.append([0] * rank)
+        elif kind < 0.3 and cols:
+            cols.append(list(rng.choice(cols)))
+        else:
+            col = [rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(rank)]
+            scale = rng.choice((1, 1, 2, 3, 4))
+            cols.append([scale * v for v in col])
+    return Presentation(rank, IntMatrix.from_columns(rank, cols))
+
+
+def test_pruned_presentation_is_isomorphic():
+    rng = random.Random(1602)
+    seen = collections.Counter()
+    for _ in range(200):
+        G = random_relations(rng, rng.randint(0, 5))
+        P, to_p, from_p = G.pruned()
+        seen["torsion"] += bool(G.summary().torsion)
+        seen["pruned"] += P.rank < G.rank
+        seen["zero column"] += any(
+            not any(G.relations.col(j)) for j in range(G.relations.cols))
+        assert P.summary() == G.summary()
+        assert to_p * from_p == IntMatrix.identity(P.rank)
+        assert hom_is_well_defined(to_p, G, P)
+        assert hom_is_well_defined(from_p, P, G)
+        assert homs_equal(from_p * to_p, IntMatrix.identity(G.rank), G)
+        assert all(d > 1 for d in smith_normal_form(P.relations).diagonal())
+    assert min(seen.values()) >= 20, seen
+
+
+def test_pruned_hand_cases():
+    # Z/6 + Z + a unit relation: generators 3 -> 2, relations 3 -> 1
+    G = Presentation(3, IntMatrix.from_columns(3, [(1, 1, 0), (0, 6, 0),
+                                                   (0, 0, 0)]))
+    P, _, _ = G.pruned()
+    assert (P.rank, P.relations) == (2, IntMatrix(2, 1, [6, 0]))
+    P, to_p, from_p = Presentation.free(2).pruned()
+    assert P == Presentation.free(2)
+    assert to_p == from_p == IntMatrix.identity(2)
+    assert Presentation.zero().pruned()[0] == Presentation.zero()

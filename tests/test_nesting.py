@@ -149,7 +149,8 @@ class TestCoverGenerated:
 
 
 class TestConstructionErrors:
-    """Bad constructor arguments raise NestingError naming the value."""
+    """Bad constructor arguments, and points outside the realm, raise
+    NestingError naming the value."""
 
     @pytest.mark.parametrize("dim", [True, 2.0, "2", -1])
     def test_realm_dimension(self, dim):
@@ -171,6 +172,18 @@ class TestConstructionErrors:
                            match=r"has length 2; .* dimension 3"):
             cover_generated(PLRealm(3), rule)
         cover_generated(PLRealm(2), rule)
+
+    def test_region_point_lives_in_the_realm(self):
+        eta = cover_generated(PLRealm(3), UniformBallRule(F(1, 4)))
+        with pytest.raises(NestingError,
+                           match=r"\(0, 0\) has length 2, expected 3"):
+            eta.region(((0, 0),))
+
+    def test_region_mixed_lengths_fail_typed(self):
+        eta = cover_generated(PLRealm(3), UniformBallRule(F(1, 4)))
+        with pytest.raises(NestingError,
+                           match=r"\(0, 0\) has length 2, expected 3"):
+            eta.region(((0, 0, 0), (0, 0)))
 
 
 class TestPullback:

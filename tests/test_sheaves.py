@@ -1,6 +1,14 @@
+import functools
+
 import pytest
 
-from nestrix.exact import ZCOEFF, zmod
+from nestrix import sheaves
+from nestrix.exact import (
+    ZCOEFF,
+    presented_cohomology_at,
+    smith_normal_form,
+    zmod,
+)
 from nestrix.finite_space import (
     discrete_space,
     example03_space,
@@ -9,7 +17,9 @@ from nestrix.finite_space import (
     sierpinski_space,
 )
 from nestrix.sheaves import (
+    GODEMENT_DEGREE_CAP,
     CoverCapExceeded,
+    _coker_presheaf,
     cech_cohomology,
     check_presheaf,
     compare_theorem,
@@ -259,9 +269,68 @@ class TestGodement:
             assert groups(hg) == groups(hn)
 
     def test_caps(self):
-        F = constant_sheaf(random_space(7, 0.4, 1), ZCOEFF)
+        F = constant_sheaf(pseudocircle(), ZCOEFF)
         with pytest.raises(CoverCapExceeded):
-            sheaf_cohomology_godement(F, 2)
+            sheaf_cohomology_godement(F, GODEMENT_DEGREE_CAP + 1)
+
+    @pytest.mark.parametrize("coeff", [ZCOEFF, zmod(2), zmod(4)],
+                             ids=["Z", "Z/2", "Z/4"])
+    @pytest.mark.parametrize("space", [
+        *[pytest.param(f, id=f.__name__)
+          for f in (sierpinski_space, pseudocircle, example03_space)],
+        *[pytest.param(functools.partial(random_space, n, 0.4, s),
+                       id=f"random_space({n}, 0.4, {s})")
+          for n, s in [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (6, 3),
+                       (7, 3), (8, 2)]]])
+    def test_agrees_with_nerve_sweep(self, space, coeff):
+        F = constant_sheaf(space(), coeff)
+        for degree in (2, 3):
+            assert groups(sheaf_cohomology_godement(F, degree)) == \
+                groups(sheaf_cohomology_nerve(F, degree))
+
+
+class TestGodementPruning:
+    """The groups the Godement pipeline hands to presented_cohomology_at
+    carry no relation with invariant factor 1, and each level's pruned
+    cokernel presheaf is well defined and functorial."""
+
+    @staticmethod
+    def capture(monkeypatch, X, coeff):
+        handed, cokernels = [], []
+
+        def spy_cohomology(groups, maps, degree):
+            handed.extend(groups)
+            return presented_cohomology_at(groups, maps, degree)
+
+        def spy_cokernel(F, G, unit):
+            Q, to_pruned = _coker_presheaf(F, G, unit)
+            cokernels.append(Q)
+            return Q, to_pruned
+
+        monkeypatch.setattr(sheaves, "presented_cohomology_at",
+                            spy_cohomology)
+        monkeypatch.setattr(sheaves, "_coker_presheaf", spy_cokernel)
+        sheaf_cohomology_godement(constant_sheaf(X, coeff), 3)
+        return handed, cokernels
+
+    @pytest.mark.parametrize("space", [example03_space, pseudocircle])
+    def test_free_coefficients_leave_no_relations(self, monkeypatch, space):
+        handed, cokernels = self.capture(monkeypatch, space(), ZCOEFF)
+        assert handed and all(g.relations.cols == 0 for g in handed)
+        assert len(cokernels) == 4
+        for Q in cokernels:
+            check_presheaf(Q)
+
+    @pytest.mark.parametrize("space", [example03_space, pseudocircle])
+    def test_torsion_coefficients_leave_no_unit(self, monkeypatch, space):
+        handed, cokernels = self.capture(monkeypatch, space(), zmod(4))
+        assert any(g.relations.cols for g in handed)
+        for g in handed:
+            assert all(d > 1 for d in
+                       smith_normal_form(g.relations).diagonal())
+        assert len(cokernels) == 4
+        for Q in cokernels:
+            check_presheaf(Q)
 
 
 class TestCech:
