@@ -18,19 +18,17 @@ condition iii is asked once per face and coface: each face's covering set
 must lie in the region at each coface's target.
 
 ``find_covering`` searches for the least subdivision depth at which a
-candidate validates.  Every face gets its own hull; targets sit at
-barycenters when possible (the deformation is then the identity) and at
-lead vertices otherwise.  A seed is a face set: faces carried by it keep
-their own barycenters under either strategy.
+candidate validates.  There is one candidate per depth and one rule: every
+face gets its own hull as covering set and its own barycenter as target,
+so the deformation is the identity on every face.
 
 The mapping cylinder glues the simplex to a prism over its small-chain
 subcomplex (L), subdivides L n times and stacks the n-step prism T_n on
 [1, 2].  One build path serves both entry points: the part below level 1
 is built once, and T_n is stacked once onto S^n(L), which
-``cylinder_covering`` takes from its search on L (seeded with the faces
-that touch the top of the first prism).  One rule covers the whole
-cylinder: every face takes the hull of its own points, and every face of
-T_n above the seam, the top included, is pinned at its own barycenter.
+``cylinder_covering`` takes from its search on L.  The search's rule covers
+the whole cylinder: every face, the top copy of T_n included, takes the
+hull of its own points and is pinned at its own barycenter.
 The seam is shared by name: ``simplicial`` names a one-level face's
 barycenter by its level, so S^n(L) and T_n carry the same level-1 ids and
 are glued by a union.  Geometry is read from coordinates, never from
@@ -77,8 +75,6 @@ from .symbolic import (
     AffineSimplex,
     FormalChain,
     cone_simplex,
-    deformed,
-    pushforward,
 )
 
 # largest simplex dimension the cylinder and projection constructions take
@@ -88,9 +84,9 @@ K_CAP = 3
 class CoveringError(Exception):
     """A covering could not be found or built.
 
-    ``attempts`` lists every (n, strategy, first failure) of a failed
-    ``find_covering`` search, in the order they were made; it is empty for
-    other errors.
+    ``attempts`` lists the (n, first failure) of every depth a failed
+    ``find_covering`` search tried, in order; it is empty for other
+    errors.
     """
 
     def __init__(self, message, attempts=()):
@@ -117,7 +113,6 @@ class CompatibleCovering:
         self.assignments = {frozenset(k): (w, tuple(frac(c) for c in t))
                             for k, (w, t) in assignments.items()}
         self._uid = uid
-        self._identity_memo = {}
 
     @property
     def uid(self) -> str:
@@ -132,27 +127,11 @@ class CompatibleCovering:
             self._uid = hashlib.sha256(blob.encode()).hexdigest()[:16]
         return self._uid
 
-    def faces(self):
-        return set(self.assignments)
-
     def W(self, key) -> Region:
         return self.assignments[frozenset(key)][0]
 
     def t(self, key):
         return self.assignments[frozenset(key)][1]
-
-    def is_identity_on(self, key):
-        """Whether every nonempty face of ``key`` is assigned and pinned
-        to its own barycenter: the face's own pin and its facets' verdicts."""
-        key = frozenset(key)
-        memo = self._identity_memo
-        if key not in memo:
-            memo[key] = (
-                key in self.assignments
-                and self.t(key) == self.realization.barycenter(key)
-                and (len(key) == 1
-                     or all(self.is_identity_on(key - {v}) for v in key)))
-        return memo[key]
 
 
 @dataclass
@@ -264,56 +243,45 @@ class CoveringSearchResult:
     covering: CompatibleCovering
     complex: OrderedSimplicialComplex
     realization: Realization
-    carrier: dict
     subdivision_results: list
     chain_map: SimplicialChainMap
-    strategy: str
 
 
-def _candidate_covering(cx, R, carrier, seed, strategy):
-    assignments = {}
-    for key in cx.all_faces():
+def _pinned(cx, R, keys):
+    """Each face's own hull as covering set and own barycenter as target."""
+    out = {}
+    for key in keys:
         order = cx.order(key)
-        pts = [R.point(v) for v in order]
-        if strategy == "barycenter" or len(order) == 1 or carrier[key] in seed:
-            t = R.barycenter(order)
-        else:
-            t = pts[0]
-        assignments[key] = (Polytope(tuple(pts)), t)
-    return CompatibleCovering(cx, R, assignments)
+        out[key] = (Polytope(tuple(R.point(v) for v in order)),
+                    R.barycenter(order))
+    return out
+
+
+def _candidate_covering(cx, R):
+    return CompatibleCovering(cx, R, _pinned(cx, R, cx.all_faces()))
 
 
 def find_covering(K: OrderedSimplicialComplex, R: Realization,
-                  eta: NestingOracle, seed=frozenset(),
-                  n_cap=6) -> CoveringSearchResult:
+                  eta: NestingOracle, n_cap=6) -> CoveringSearchResult:
     """Least subdivision depth admitting a valid covering.
 
-    Every face of S^n(K) gets its own convex hull as covering set.  Its
-    target is the barycenter under the first strategy (the deformation is
-    then the identity) and the lead vertex under the second, except that a
-    face whose carrier lies in ``seed``, an upward-closed set of faces of
-    K, keeps its barycenter under both.  A candidate is returned only when
+    Each depth makes one candidate: every face of S^n(K) gets its own
+    convex hull as covering set and its own barycenter as target, so the
+    deformation is the identity.  A candidate is returned only when
     ``validate_covering`` passes it in full.
     """
     check_depth(n_cap, "subdivision cap n_cap", CoveringError)
-    seed = {frozenset(k) for k in seed}
-    if not seed <= K.faces.keys():
-        raise CoveringError("seed names a face outside the complex")
-    if any(k < other and other not in seed for k in seed for other in K.faces):
-        raise CoveringError("seed face set is not upwards closed")
     attempts = []
     levels = subdivision_levels(K)
     for n in range(n_cap + 1):
-        subs, chain_map, carrier = next(levels)
+        subs, chain_map, _ = next(levels)
         cx = subs[-1].complex if subs else K
         real = R.extended_to(cx)
-        for strategy in ("barycenter", "vertex"):
-            cand = _candidate_covering(cx, real, carrier, seed, strategy)
-            report = validate_covering(cand, eta)
-            if report.passed:
-                return CoveringSearchResult(
-                    n, cand, cx, real, carrier, subs, chain_map, strategy)
-            attempts.append((n, strategy, report.first()))
+        cand = _candidate_covering(cx, real)
+        report = validate_covering(cand, eta)
+        if report.passed:
+            return CoveringSearchResult(n, cand, cx, real, subs, chain_map)
+        attempts.append((n, report.first()))
     mesh = mesh_sq(K, R)
     raise CoveringError(
         f"no compatible covering within subdivision cap {n_cap}; "
@@ -422,17 +390,14 @@ def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
 
 
 def cylinder_covering(k, eta: NestingOracle, n_cap=6):
-    """Covering of the stacked cylinder: every face above the seam takes
-    its own hull and its own barycenter.
+    """Covering of the stacked cylinder by the search's rule: every face
+    takes its own hull and its own barycenter.
 
-    The search runs on L with the faces that touch the top of the first
-    prism as its seed, so their subdivisions keep their own barycenters.
     The cylinder below level 1 is built once, and T_n is stacked onto the
     search's own subdivision, so L is subdivided once and T_n built once.
-    Seam faces keep the search's data; each face of T_n above the seam
-    gets the hull of its own points as covering set and its own barycenter
-    as target, the rule the search's barycenter strategy applies below,
-    so the top copy is pinned at barycenters.
+    Faces below the seam and on it keep the search's data; each face of
+    T_n above the seam gets the same rule, so the top copy is pinned at
+    barycenters.
 
     The exact validator decides whether the union is a compatible
     covering.  The search has validated the lower covering in full against
@@ -443,18 +408,13 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
     """
     check_depth(n_cap, "subdivision cap n_cap", CoveringError)
     lower = _lower_cylinder(k, eta)
-    R = lower.L_realization
-    seed = {key for key in lower.L.faces if any(R.point(v)[-1] == 1
-                                                for v in key)}
-    res = find_covering(lower.L, R, lower.q_eta, seed=seed, n_cap=n_cap)
+    res = find_covering(lower.L, lower.L_realization, lower.q_eta,
+                        n_cap=n_cap)
     cyl = _stacked(lower, res.n, res.complex, res.realization, res.chain_map)
     Rn = cyl.Ln_realization
-    assignments = dict(res.covering.assignments)
-    for key in cyl.Ln.faces.keys() - assignments.keys():
-        order = cyl.Ln.order(key)
-        assignments[key] = (Polytope(tuple(Rn.point(v) for v in order)),
-                            Rn.barycenter(order))
-    glued = CompatibleCovering(cyl.Ln, Rn, assignments)
+    searched = res.covering.assignments
+    upper = _pinned(cyl.Ln, Rn, cyl.Ln.faces.keys() - searched.keys())
+    glued = CompatibleCovering(cyl.Ln, Rn, {**searched, **upper})
     report = validate_covering(glued, cyl.q_eta, checked=res.covering)
     if not report.passed:
         raise CoveringError(f"cylinder covering invalid: {report.first()!r}")
@@ -479,7 +439,7 @@ class ProjectionData:
 def _cylinder_homotopy(cyl: MappingCylinder, key):
     """S^n P - T_n on an accepted face, a chain of ``cyl.Ln``: the
     homotopy dh + hd = i_2 - S^n i_0 in the cylinder, before the
-    deformation flattens it."""
+    projection q flattens it."""
     snp = cyl.sub_chain_map.apply(cyl.prism_homotopy[key])
     return add_into(snp, cyl.tn_homotopy[key], -1)
 
@@ -487,18 +447,21 @@ def _cylinder_homotopy(cyl: MappingCylinder, key):
 def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
     """The projection onto small chains together with both homotopies.
 
-    pi sends a face through n-fold subdivision and the covering's
-    deformation, then projects the cylinder away; it is the identity on
-    0-simplices.  h0 is the explicit prism homotopy between the embedding
-    of the accepted subcomplex and pi; h extends it to every face by
-    deterministic cone fillers.
+    The covering pins every face at its own barycenter, so its
+    deformation is the identity: pi sends a face through n-fold
+    subdivision, then projects the cylinder away, each face of S^n going
+    to the affine simplex on the q-images of its points; it is the
+    identity on 0-simplices.  h0 is the explicit prism homotopy between
+    the embedding of the accepted subcomplex and pi; h extends it to every
+    face by deterministic cone fillers.
     """
     n, covering, cyl = cylinder_covering(k, eta, n_cap)
+    R = cyl.Ln_realization
 
     def delta_prime_chain(chain):
-        # the covering's deformation, then the projection q off the cylinder
-        return FormalChain.image(
-            chain, lambda key: pushforward(cyl.q, deformed(covering, key)))
+        # the projection q off the cylinder, face by face
+        return FormalChain.image(chain, lambda key: AffineSimplex(
+            [cyl.q.apply(R.point(v)) for v in cyl.Ln.order(key)]))
 
     # pi = delta' o S^n o (level-0 inclusion)
     pi = {}

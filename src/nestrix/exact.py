@@ -723,9 +723,17 @@ class Presentation:
     def is_trivial(self):
         return self.summary().is_trivial()
 
+    def columns_are_zero(self, M: IntMatrix) -> bool:
+        """Whether every column of M lies in the relation lattice: one
+        Smith form of the relations and one back-substitution of all the
+        columns.  With no relations a column is zero only if it is 0."""
+        if not self.relations.cols or not M.cols:
+            return M.is_zero()
+        X = _back_substitute(smith_normal_form(self.relations), M)
+        return not isinstance(X, NotABoundary)
+
     def element_is_zero(self, vec) -> bool:
-        return lattice_contains(self.relations, vec) if self.relations.cols \
-            else all(v == 0 for v in vec)
+        return self.columns_are_zero(IntMatrix.column(vec))
 
     def elements_equal(self, v, w) -> bool:
         return self.element_is_zero(tuple(a - b for a, b in zip(v, w)))
@@ -779,16 +787,11 @@ def hom_is_well_defined(A: IntMatrix, src: Presentation, dst: Presentation) -> b
     """A descends to a hom of presented groups iff A maps relations into relations."""
     if A.rows != dst.rank or A.cols != src.rank:
         return False
-    target = lattice_basis(dst.relations)
-    snf = smith_normal_form(target)
-    prod = A * src.relations
-    return all(solve_exact(target, prod.col(j), snf) is not None
-               for j in range(prod.cols))
+    return dst.columns_are_zero(A * src.relations)
 
 
 def homs_equal(A, B, dst: Presentation) -> bool:
-    diff = A - B
-    return all(dst.element_is_zero(diff.col(j)) for j in range(diff.cols))
+    return dst.columns_are_zero(A - B)
 
 
 def hom_kernel(A: IntMatrix, src: Presentation, dst: Presentation):

@@ -532,12 +532,6 @@ def product_at_level(K, level):
     return K.relabel(lambda v: (v, lv))
 
 
-def level_subcomplex(complex_, level):
-    lv = frac(level)
-    return complex_.restrict_vertices(
-        lambda v: is_level_vertex(v) and frac(v[1]) == lv)
-
-
 def prism_complex(K, a=0, b=1):
     """P(K) on |K| x [a, b] plus the chain homotopy P.
 

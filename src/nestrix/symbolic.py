@@ -5,9 +5,6 @@ any rational barycentric parameter:
 
 * ``AffineSimplex``  -- affine on its (possibly repeated or dependent)
   vertex points; degenerate constant simplices are legitimate members,
-* ``DeformedFace``   -- the skeleton-recursive radial deformation of a
-  complex face subject to a compatible covering (straight-line homotopies
-  inside the convex covering sets),
 * ``PushforwardSimplex`` -- an affine map applied to a child (normalized:
   affine children are mapped through, nested pushforwards compose),
 * ``ConeSimplex``    -- the cone with a fixed rational apex.
@@ -18,8 +15,8 @@ dict simplex -> int: its terms are summed by ``simplicial.add_into``, the
 one chain accumulator, and ``FormalChain.image`` is the linear extension
 of a map sending each generator to one simplex.  Small-chain membership of
 a symbolic simplex is decided through certificates: affine pieces by exact
-vertex tests, deformed pieces through their covering sets, pushforwards by
-pulling the region back.  An undecided containment fails closed.
+vertex tests, pushforwards by pulling the region back, cones by their
+apex and base.  An undecided containment fails closed.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .regions import (
     contains_point,
     is_convex,
     preimage_region,
-    region_contains,
     simplex_in_region,
 )
 from .simplicial import add_into, linear_image
@@ -87,65 +83,6 @@ class AffineSimplex(SymbolicSimplex):
 
     def face(self, i):
         return AffineSimplex(self.points[:i] + self.points[i + 1:])
-
-
-class DeformedFace(SymbolicSimplex):
-    """The deformation of one complex face under a compatible covering.
-
-    Radial rule: a parameter decomposes as the segment from the barycenter
-    to a boundary point; the boundary evaluates recursively, the segment
-    maps onto the straight line toward the covering's target point.
-    """
-
-    def __init__(self, covering, face_key):
-        self.covering = covering
-        self.face_key = frozenset(face_key)
-        order = covering.complex.order(self.face_key)
-        self.order = order
-        self.dim = len(order) - 1
-        self._key = ("deform", covering.uid, tuple(sorted(
-            map(repr, self.face_key))))
-
-    def evaluate(self, lam):
-        lam = tuple(frac(c) for c in lam)
-        k = self.dim
-        if len(lam) != k + 1:
-            raise SymbolicError("barycentric parameter length mismatch")
-        cov = self.covering
-        if k == 0:
-            return cov.t(self.face_key)
-        m = min(lam)
-        s = 1 - (k + 1) * m
-        t_point = cov.t(self.face_key)
-        if s == 0:
-            return t_point
-        # boundary hit of the ray from the barycenter through lam
-        b = Fraction(1, k + 1)
-        mu = tuple(b + (l - b) / s for l in lam)
-        support = tuple(i for i, c in enumerate(mu) if c != 0)
-        sub_order = tuple(self.order[i] for i in support)
-        sub = deformed(cov, frozenset(sub_order))
-        boundary_value = sub.evaluate(tuple(mu[i] for i in support))
-        u = 1 - s
-        return tuple((1 - u) * bv + u * tp
-                     for bv, tp in zip(boundary_value, t_point))
-
-    def face(self, i):
-        sub = self.order[:i] + self.order[i + 1:]
-        return deformed(self.covering, frozenset(sub))
-
-    def bounding_region(self) -> Region:
-        return self.covering.W(self.face_key)
-
-
-def deformed(covering, face_key):
-    """Factory honoring the identity shortcut: faces whose subfaces all
-    pin the target at the barycenter map to themselves."""
-    face_key = frozenset(face_key)
-    if covering.is_identity_on(face_key):
-        order = covering.complex.order(face_key)
-        return AffineSimplex([covering.realization.point(v) for v in order])
-    return DeformedFace(covering, face_key)
 
 
 class PushforwardSimplex(SymbolicSimplex):
@@ -270,14 +207,6 @@ def image_in_region(simplex: SymbolicSimplex, region: Region) -> Tri:
     if isinstance(simplex, PushforwardSimplex):
         return image_in_region(simplex.child,
                                preimage_region(simplex.map, region))
-    if isinstance(simplex, DeformedFace):
-        inside = region_contains(region, simplex.bounding_region())
-        if inside is Tri.TRUE:
-            return Tri.TRUE
-        # the covering set may overshoot the actual image: stay undecided
-        if not contains_point(region, simplex.barycenter()):
-            return Tri.FALSE
-        return Tri.UNKNOWN
     if isinstance(simplex, ConeSimplex):
         if not contains_point(region, simplex.apex):
             return Tri.FALSE

@@ -2,7 +2,7 @@
 against the identities that define them: pi fixes vertices and is a chain
 map, dh + hd = id - pi on every face, pi lands in small chains, and the
 boundary construction returns a small x with dx = d(sigma).  S^n P - T_n is
-checked as a homotopy in the cylinder itself, before the deformation
+checked as a homotopy in the cylinder itself, before the projection q
 flattens it.  The cylinder's glued covering, validated only where it
 touches the n-step prism, gets the verdict and failures of a full
 validation."""
@@ -10,7 +10,6 @@ validation."""
 import collections
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -200,6 +199,26 @@ def test_projection_identities(monkeypatch, k, sq_radius, depth):
                           symmetric_sizes(k, sq_radius), depth)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sq_radius", [
+    Fraction(2), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], ids=str)
+def test_every_face_is_pinned_and_pi_is_q_after_subdivision(k, sq_radius):
+    """One covering rule: every face of the cylinder is pinned at its own
+    barycenter, so the deformation is the identity and pi is q pushed
+    over S^n of the level-0 face, face by face."""
+    data = small_chain_projection(k, ball_nesting(k + 1, sq_radius), n_cap=3)
+    cov, cyl = data.covering, data.cyl
+    R = cov.realization
+    for key, (_, t) in cov.assignments.items():
+        assert t == R.barycenter(cov.complex.order(key))
+    for key in cyl.base_complex.faces:
+        chain = cyl.sub_chain_map.values[cyl.level0[key]]
+        faces = FormalChain({AffineSimplex([R.point(v) for v in
+                                            cyl.Ln.order(face)]): c
+                             for face, c in chain.items()})
+        assert data.pi[key] == faces.push(cyl.q)
+
+
 @pytest.mark.parametrize("k, sq_radius, depth, sizes", [
     pytest.param(1, Fraction(1, 40), 3, (2,), id="1-1/40-3"),
     pytest.param(1, Fraction(1, 100), 3, (2,), id="1-1/100-3"),
@@ -266,21 +285,9 @@ def test_search_failure_keeps_every_attempt():
     with pytest.raises(CoveringError) as info:
         small_chain_projection(1, eta, n_cap=1)
     attempts = info.value.attempts
-    assert [(n, strategy, failure[0]) for n, strategy, failure in attempts] \
-        == [(n, strategy, "chain-region") for n in range(2)
-            for strategy in ("barycenter", "vertex")]
+    assert [(n, failure[0]) for n, failure in attempts] \
+        == [(0, "chain-region"), (1, "chain-region")]
     assert f"last failure: {attempts[-1]!r}" in str(info.value)
-
-
-def test_seed_must_be_upward_closed_faces_of_the_complex():
-    K, R = delta_complex(1)
-    eta = ball_nesting(2, Fraction(2))
-    with pytest.raises(CoveringError, match="outside the complex"):
-        find_covering(K, R, eta, seed=[{0, 2}])
-    with pytest.raises(CoveringError, match="not upwards closed"):
-        find_covering(K, R, eta, seed=[{0}])
-    res = find_covering(K, R, eta, seed=[{0}, {0, 1}])
-    assert res.n == 0
 
 
 def test_search_subdivides_once_per_depth(monkeypatch):
@@ -292,16 +299,17 @@ def test_search_subdivides_once_per_depth(monkeypatch):
         return subdivide(K)
 
     monkeypatch.setattr(simplicial, "subdivide", counted)
+    validations = spy_validations(monkeypatch)
     K, R = delta_complex(1)
     res = find_covering(K, R, ball_nesting(2, Fraction(1, 20)), n_cap=4)
-    assert res.n == 2 and len(calls) == 2
+    # one subdivision and one candidate per depth
+    assert res.n == 2 and len(calls) == 2 and len(validations) == 3
     monkeypatch.undo()
-    subs, chain_map, carrier = simplicial.iterate_subdivide(K, 2)
+    subs, chain_map, _ = simplicial.iterate_subdivide(K, 2)
     assert [s.complex for s in res.subdivision_results] == \
         [s.complex for s in subs]
     assert res.complex == subs[-1].complex
     assert res.chain_map.values == chain_map.values
-    assert res.carrier == carrier
 
 
 def test_boundary_in_small_chains_segment():
@@ -646,7 +654,7 @@ def test_punctured_plane_sweep(monkeypatch, seed):
             outcomes["puncture"] += 1
         except CoveringError as e:
             if e.attempts:
-                assert [n for n, *_ in e.attempts][::2] == [0, 1, 2]
+                assert [n for n, _ in e.attempts] == [0, 1, 2]
                 outcomes["cap"] += 1
             else:
                 assert "cylinder covering invalid" in str(e)
@@ -813,49 +821,6 @@ def test_uid_is_computed_on_first_read(monkeypatch):
     assert data.covering.uid == reference_uid(data.covering)
 
 
-def subset_walk_identity(cov, key):
-    """Every nonempty subface of key assigned and pinned at its barycenter,
-    checked by walking all of them."""
-    order = cov.complex.order(key)
-    for size in range(1, len(order) + 1):
-        for sub in itertools.combinations(order, size):
-            sk = frozenset(sub)
-            if sk not in cov.assignments or cov.t(sk) != \
-                    cov.realization.barycenter(cov.complex.order(sk)):
-                return False
-    return True
-
-
-def test_identity_verdicts_equal_the_subset_walk():
-    coverings = []
-    for k in (1, 2):
-        for sq_radius in (Fraction(2), Fraction(1, 2)):
-            data = small_chain_projection(
-                k, ball_nesting(k + 1, sq_radius), n_cap=3)
-            coverings.append(data.covering)
-    # one vertex's target moved off its own point
-    cov = coverings[-1]
-    vertex = next(key for key in cov.complex.all_faces() if len(key) == 1
-                  and subset_walk_identity(cov, key))
-    moved = dict(cov.assignments)
-    w, t = moved[vertex]
-    moved[vertex] = (w, tuple(c + Fraction(1, 7) for c in t))
-    coverings.append(CompatibleCovering(cov.complex, cov.realization, moved))
-    seen = set()
-    for cov in coverings:
-        fresh = CompatibleCovering(cov.complex, cov.realization,
-                                   cov.assignments)
-        faces = cov.complex.all_faces()
-        verdicts = {key: fresh.is_identity_on(key) for key in faces}
-        assert verdicts == {key: subset_walk_identity(cov, key)
-                            for key in faces}
-        seen.update(verdicts.values())
-    assert seen == {True, False}
-    # on the last covering the moved vertex fails every face that holds it
-    assert not any(v for key, v in verdicts.items() if vertex <= key)
-    assert any(verdicts.values())
-
-
 # the three failing searches and the planted nested-sets covering, whose
 # reports a run prints as JSON; argv[1] is this file's directory
 REPORTS_SCRIPT = """
@@ -899,7 +864,7 @@ def test_failure_reports_do_not_depend_on_the_hash_seed():
     assert runs[0] == runs[1]
 
 
-# the failures of the barycenter candidate on the once subdivided
+# the failures of the candidate on the once subdivided
 # 2-simplex, which fails condition iii on many face-coface pairs
 PAIR_REPORT_SCRIPT = """
 import json, sys
@@ -909,10 +874,9 @@ from test_covering import ball_nesting
 from nestrix import covering
 from nestrix.simplicial import iterate_subdivide
 K, R = covering.delta_complex(2)
-subs, _, carrier = iterate_subdivide(K, 1)
+subs, _, _ = iterate_subdivide(K, 1)
 cx = subs[-1].complex
-cand = covering._candidate_covering(cx, R.extended_to(cx), carrier, set(),
-                                    "barycenter")
+cand = covering._candidate_covering(cx, R.extended_to(cx))
 report = covering.validate_covering(cand, ball_nesting(3, Fraction(1, 8)))
 print(json.dumps(repr(report.failures)))
 """

@@ -670,3 +670,36 @@ def test_pruned_hand_cases():
     assert P == Presentation.free(2)
     assert to_p == from_p == IntMatrix.identity(2)
     assert Presentation.zero().pruned()[0] == Presentation.zero()
+
+
+def test_relation_membership_runs_one_smith_form(monkeypatch):
+    """hom_is_well_defined and homs_equal decide all their columns against
+    one Smith form of the target's relations, and a target with no
+    relations needs none."""
+    calls = []
+    real = exact.smith_normal_form
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(exact, "smith_normal_form", counted)
+    z2, z4 = Presentation.cyclic(2), Presentation.cyclic(4)
+    # Z/2 + Z/3, and two maps from Z^3 whose difference has 3 columns
+    G = Presentation(2, IntMatrix.from_columns(2, [(2, 0), (0, 3)]))
+    A = IntMatrix.from_rows([[1, 2, 5], [0, 1, 7]])
+    same = A - IntMatrix.from_rows([[2, 0, 4], [0, 3, 6]])
+    other = A - IntMatrix.from_rows([[2, 0, 4], [0, 3, 5]])
+    for check, want in (
+            (lambda: hom_is_well_defined(IntMatrix(1, 1, [1]), z4, z4), True),
+            (lambda: hom_is_well_defined(IntMatrix(1, 1, [1]), z2, z4), False),
+            (lambda: homs_equal(A, same, G), True),
+            (lambda: homs_equal(A, other, G), False)):
+        calls.clear()
+        assert check() is want
+        assert len(calls) == 1
+    calls.clear()
+    free = Presentation.free(2)
+    assert homs_equal(A, A, free) and not homs_equal(A, same, free)
+    assert hom_is_well_defined(A, Presentation.free(3), free)
+    assert calls == []

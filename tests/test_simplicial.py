@@ -21,7 +21,6 @@ from nestrix.simplicial import (
     format_complex,
     format_realization,
     iterate_subdivide,
-    level_subcomplex,
     mesh_sq,
     parse_complex,
     parse_realization,
@@ -197,8 +196,9 @@ class TestPrismP:
     def test_both_restrictions_are_K(self):
         K = delta(2)
         PK, _ = prism_complex(K)
-        assert level_subcomplex(PK, 0) == product_at_level(K, 0)
-        assert level_subcomplex(PK, 1) == product_at_level(K, 1)
+        for level in (0, 1):
+            assert PK.restrict_vertices(lambda v: v[1] == level) == \
+                product_at_level(K, level)
 
 
 class TestPrismT:
@@ -218,8 +218,10 @@ class TestPrismT:
     def test_restrictions(self):
         K = delta(1)
         TK, _, sub = t_complex(K)
-        assert level_subcomplex(TK, 0) == product_at_level(sub.complex, 0)
-        assert level_subcomplex(TK, 1) == product_at_level(K, 1)
+        assert TK.restrict_vertices(lambda v: v[1] == 0) == \
+            product_at_level(sub.complex, 0)
+        assert TK.restrict_vertices(lambda v: v[1] == 1) == \
+            product_at_level(K, 1)
 
     def test_t2_restriction_over_endpoint(self):
         K = delta(1)
