@@ -5,7 +5,7 @@ Everything in here is computed over Z (arbitrary-precision ints) or Q
 
 * ``IntMatrix``        -- immutable integer matrices,
 * ``smith_normal_form`` -- U*A*V = D with unimodular U, V and a divisibility
-  chain on the diagonal, plus the tracked inverses,
+  chain on the diagonal, plus U^-1; each transform is built when first read,
 * lattice calculus      -- bases, membership, preimages, coordinates in a
   basis (``lattice_coordinates``),
 * ``FinChainComplex``   -- bounded complexes of free Z-modules with
@@ -26,12 +26,15 @@ grows with bit length), for an r x c matrix A:
 * ``A * B`` builds row i as the combination of B's rows weighted by row
   i's nonzero entries: O(r*c + nnz(A) * B.cols).  ``col``, ``transpose`` and
   ``take_columns`` are strided slices, O(entries read).
-* ``smith_normal_form(A)``: each row or column operation touches O(r + c)
-  entries of A, U, U^-1 and V (column operations skip zero rows), and a
-  clearing pass at a pivot makes up to r + c of them, so the form costs
-  O(min(r, c) * (r + c)^2) when every pivot clears in one pass.  The pivot
-  search stops at the first unit entry and a unit pivot skips the
-  divisibility sweep.
+* ``smith_normal_form(A)``: the elimination touches A only.  Each row or
+  column operation touches O(r + c) entries of A (column operations skip
+  zero rows) and is logged, and a clearing pass at a pivot makes up to
+  r + c of them, so the form costs O(min(r, c) * (r + c)^2) when every
+  pivot clears in one pass.  The pivot search stops at the first unit entry
+  and a unit pivot skips the divisibility sweep.  U, U^-1 and V are each
+  built on first read by replaying the log onto an identity, O(ops * n)
+  for an n x n transform; a caller that reads only the diagonal (ranks,
+  invariant factors) builds none.
 * Solving A X = B against A's Smith form (``solve_exact``,
   ``solve_boundary``, ``lattice_coordinates``) is two products, U * B and
   V * Y.
@@ -45,6 +48,7 @@ grows with bit length), for an r x c matrix A:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -239,14 +243,62 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U * A * V = D with U, V unimodular and d_i | d_{i+1} >= 0."""
+def _replay(n, ops, inverse=False):
+    """Rows of the n x n identity after the logged row operations, in order.
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
+    ``ops`` holds ("swap", i, k), ("add", i, k, q) for row_i += q * row_k,
+    and ("neg", i).  Replaying a log gives the product of its operations.
+    With ``inverse`` each add runs as row_k -= q * row_i, the transpose of
+    its inverse; swaps and negations are their own transposed inverses, so
+    the result is the transpose of the product's inverse.
+    """
+    rows = IntMatrix.identity(n).rows_list()
+    for op in ops:
+        kind, i = op[0], op[1]
+        if kind == "add":
+            k, q = op[2], op[3]
+            if inverse:
+                rows[k] = _axpy(rows[k], -q, rows[i])
+            else:
+                rows[i] = _axpy(rows[i], q, rows[k])
+        elif kind == "swap":
+            k = op[2]
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return rows
+
+
+class SmithDecomposition:
+    """U * A * V = D with U, V unimodular and d_i | d_{i+1} >= 0.
+
+    D is built by the elimination.  U, U_inv and V are replayed from its
+    logged row and column operations the first time each is read, and then
+    kept, so a caller that reads only the diagonal builds none of them.
+    """
+
+    def __init__(self, D: IntMatrix, row_ops, col_ops):
+        self.D = D
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    @functools.cached_property
+    def U(self) -> IntMatrix:
+        n = self.D.rows
+        return IntMatrix(n, n, _replay(n, self._row_ops))
+
+    @functools.cached_property
+    def U_inv(self) -> IntMatrix:
+        # replayed on its transpose, so each operation is one whole-row update
+        n = self.D.rows
+        return IntMatrix.from_columns(
+            n, _replay(n, self._row_ops, inverse=True))
+
+    @functools.cached_property
+    def V(self) -> IntMatrix:
+        # a column operation on V is the same row operation on V's transpose
+        n = self.D.cols
+        return IntMatrix.from_columns(n, _replay(n, self._col_ops))
 
     def diagonal(self):
         n = min(self.D.rows, self.D.cols)
@@ -281,40 +333,33 @@ def _min_pivot(m, rows, cols, t):
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with tracked transforms.
+    """Smith normal form; the transforms are built when first read.
 
     Deterministic: the pivot is the minimum absolute value in the pending
-    block, ties broken by lowest row index then lowest column index.
+    block, ties broken by lowest row index then lowest column index.  The
+    elimination runs on A alone and logs each row and column operation for
+    ``SmithDecomposition`` to replay.
     """
     rows, cols = A.rows, A.cols
     m = A.rows_list()
-    u = IntMatrix.identity(rows).rows_list()
-    uinv = IntMatrix.identity(rows).rows_list()
-    v = IntMatrix.identity(cols).rows_list()
+    row_ops = []
+    col_ops = []
 
     def row_swap(i, k):
         m[i], m[k] = m[k], m[i]
-        u[i], u[k] = u[k], u[i]
-        # (swap)^-1 = swap, applied on the right of uinv: swap columns i,k
-        for r in uinv:
-            r[i], r[k] = r[k], r[i]
+        row_ops.append(("swap", i, k))
 
     def col_swap(j, k):
         for r in m:
             r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
+        col_ops.append(("swap", j, k))
 
     def row_add(i, k, q):
         # row_i += q * row_k
         if q == 0:
             return
         m[i] = _axpy(m[i], q, m[k])
-        u[i] = _axpy(u[i], q, u[k])
-        # inverse op on the right: column_k -= q * column_i
-        for r in uinv:
-            if r[i]:
-                r[k] -= q * r[i]
+        row_ops.append(("add", i, k, q))
 
     def col_add(j, k, q):
         # col_j += q * col_k
@@ -323,15 +368,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         for r in m:
             if r[k]:
                 r[j] += q * r[k]
-        for r in v:
-            if r[k]:
-                r[j] += q * r[k]
+        col_ops.append(("add", j, k, q))
 
     def row_negate(i):
         m[i] = [-a for a in m[i]]
-        u[i] = [-a for a in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
+        row_ops.append(("neg", i))
 
     def nearest_q(a, b):
         q, r = divmod(a, b)
@@ -380,10 +421,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             row_negate(t)
         t += 1
 
-    return SmithDecomposition(U=IntMatrix(rows, rows, u),
-                              D=IntMatrix(rows, cols, m),
-                              V=IntMatrix(cols, cols, v),
-                              U_inv=IntMatrix(rows, rows, uinv))
+    return SmithDecomposition(IntMatrix(rows, cols, m), row_ops, col_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +475,7 @@ def _back_substitute(snf: SmithDecomposition, B: IntMatrix):
     """
     C = snf.U * B
     diag = snf.diagonal()
+    n = snf.D.cols
     failures = []
     Y = []
     for i in range(C.rows):
@@ -445,13 +484,13 @@ def _back_substitute(snf: SmithDecomposition, B: IntMatrix):
         j = next((j for j, x in enumerate(row) if (x % d if d else x)), None)
         if j is not None:
             failures.append((j, i, row[j], d))
-        elif i < snf.V.rows:
+        elif i < n:
             Y.append([x // d for x in row] if d else row)
     if failures:
         j, i, value, d = min(failures)
         return NotABoundary(i, value, d, column=j)
-    Y.extend([0] * B.cols for _ in range(len(Y), snf.V.rows))
-    return snf.V * IntMatrix(snf.V.rows, B.cols, Y)
+    Y.extend([0] * B.cols for _ in range(len(Y), n))
+    return snf.V * IntMatrix(n, B.cols, Y)
 
 
 def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
@@ -470,10 +509,6 @@ def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
 def lattice_basis(generators: IntMatrix) -> IntMatrix:
     """Canonical basis of the lattice spanned by the given columns."""
     return image_basis(generators)
-
-
-def lattice_contains(basis: IntMatrix, vec, snf=None) -> bool:
-    return solve_exact(basis, vec, snf) is not None
 
 
 def preimage_lattice(A: IntMatrix, L: IntMatrix) -> IntMatrix:
@@ -731,12 +766,6 @@ class Presentation:
             return M.is_zero()
         X = _back_substitute(smith_normal_form(self.relations), M)
         return not isinstance(X, NotABoundary)
-
-    def element_is_zero(self, vec) -> bool:
-        return self.columns_are_zero(IntMatrix.column(vec))
-
-    def elements_equal(self, v, w) -> bool:
-        return self.element_is_zero(tuple(a - b for a, b in zip(v, w)))
 
     def pruned(self):
         """(P, to_pruned, from_pruned): the same group with no unit relation.

@@ -29,7 +29,9 @@ from .exact import (
     ExactAlgebraError,
     HomologySummary,
     IntMatrix,
+    NotABoundary,
     Presentation,
+    _back_substitute,
     cohomology as complex_cohomology,
     coefficient_modulus,
     cokernel_witness,
@@ -441,11 +443,8 @@ def _unglued_family(F: Presheaf, U, cover):
     to, or None when every one glues."""
     basis, big = _matching_families(F, cover)
     aug = _stacked_restrictions(F, U, cover).hstack(big.relations)
-    asnf = smith_normal_form(aug)
-    for j in range(basis.cols):
-        if solve_exact(aug, basis.col(j), asnf) is None:
-            return basis.col(j)
-    return None
+    X = _back_substitute(smith_normal_form(aug), basis)
+    return basis.col(X.column) if isinstance(X, NotABoundary) else None
 
 
 def satisfies_gluability(F: Presheaf, cover_cap=24):
@@ -490,10 +489,6 @@ def is_sheaf(F: Presheaf) -> bool:
 # ---------------------------------------------------------------------------
 # cohomology pipelines
 
-def _chains_of_length(space, length):
-    return [c for c in space.poset().chains(max_len=length) if len(c) == length]
-
-
 def _cochain_cohomology(groups, diffs) -> list:
     """H^0 .. H^{len(diffs) - 1} of G_0 -> G_1 -> ... with d_n: G_n -> G_{n+1}."""
     groups = [Presentation.zero()] + groups
@@ -530,7 +525,9 @@ def sheaf_cohomology_nerve(F: Presheaf, max_degree) -> list:
     anchors the higher degrees.
     """
     sp = F.space
-    chains = [_chains_of_length(sp, n + 1) for n in range(max_degree + 2)]
+    chains = [[] for _ in range(max_degree + 2)]
+    for c in sp.poset().chains(max_len=max_degree + 2):
+        chains[len(c) - 1].append(c)
     groups = [direct_sum([F.stalk(c[0]) for c in ch])[0] for ch in chains]
     diffs = [_nerve_differential(F, chains[n], chains[n + 1])
              for n in range(max_degree + 1)]

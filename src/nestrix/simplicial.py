@@ -256,7 +256,9 @@ class OrderedSimplicialComplex:
         return self.faces_of_dim(d)
 
     def chain_complex(self) -> FinChainComplex:
-        bases = [self.basis(d) for d in range(self.dim() + 1)]
+        bases = [[] for _ in range(self.dim() + 1)]
+        for key in sorted_faces(self.faces):
+            bases[len(key) - 1].append(key)
         ranks = {d: len(keys) for d, keys in enumerate(bases)}
         boundaries = {}
         for d in range(1, len(bases)):

@@ -28,7 +28,6 @@ from nestrix.exact import (
     image_basis,
     kernel_basis,
     lattice_basis,
-    lattice_contains,
     lattice_coordinates,
     preimage_lattice,
     presented_cohomology_at,
@@ -204,6 +203,12 @@ class TestSmith:
         snf = check_smith(IntMatrix(0, 0, []))
         assert snf.D.rows == 0 and snf.D.cols == 0
 
+    @pytest.mark.parametrize("rows, cols", [(0, 1), (0, 3), (1, 0), (3, 0)])
+    def test_empty_side(self, rows, cols):
+        snf = check_smith(IntMatrix(rows, cols, []))
+        assert snf.D == IntMatrix.zeros(rows, cols)
+        assert snf.U_inv == IntMatrix.identity(rows)
+
     def test_identity(self):
         snf = check_smith(IntMatrix.identity(3))
         assert snf.D == IntMatrix.identity(3)
@@ -296,14 +301,14 @@ class TestLattices:
         L = IntMatrix.from_rows([[4], [0]])
         P = preimage_lattice(A, L)
         # x with (2x1, 3x2) in span{(4,0)}: x2 = 0, 2x1 in 4Z -> x1 even
-        assert lattice_contains(P, (2, 0))
-        assert not lattice_contains(P, (1, 0))
-        assert not lattice_contains(P, (0, 1))
+        assert solve_exact(P, (2, 0)) is not None
+        assert solve_exact(P, (1, 0)) is None
+        assert solve_exact(P, (0, 1)) is None
 
     def test_lattice_sum_membership(self):
         b1 = lattice_basis(IntMatrix.from_rows([[2], [0]]))
-        assert lattice_contains(b1, (4, 0))
-        assert not lattice_contains(b1, (3, 0))
+        assert solve_exact(b1, (4, 0)) is not None
+        assert solve_exact(b1, (3, 0)) is None
 
 
 class TestHomology:
@@ -490,6 +495,51 @@ def test_sweep_runs_one_smith_form_per_boundary(monkeypatch):
         assert len(calls) == len(set(calls))
 
 
+def test_transforms_built_only_when_read(monkeypatch):
+    """U, U_inv and V are replayed only for callers that read them."""
+    made, built = [], []
+    real_snf, real_replay = exact.smith_normal_form, exact._replay
+
+    def counted_snf(A):
+        made.append(real_snf(A))
+        return made[-1]
+
+    def counted_replay(n, ops, inverse=False):
+        on_cols = any(ops is snf._col_ops for snf in made)
+        built.append("V" if on_cols else "U_inv" if inverse else "U")
+        return real_replay(n, ops, inverse)
+
+    monkeypatch.setattr(exact, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(exact, "_replay", counted_replay)
+    C = subdivide(OrderedSimplicialComplex.standard_simplex(3)).complex \
+        .chain_complex()
+    for n in range(C.min_degree, C.max_degree + 1):
+        homology(C, n)
+        for coefficients in (ZCOEFF, zmod(2), QCOEFF):
+            cohomology(C, coefficients, n)
+    G = Presentation(2, IntMatrix.from_rows([[2, 4], [6, 9]]))
+    assert G.summary().torsion == (6,)
+    assert made and built == []
+
+    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    for basis, want in ((kernel_basis, ["V"]), (image_basis, ["U_inv"])):
+        built.clear()
+        basis(A)
+        assert built == want
+    # a failing membership test needs U only; a passing one also V
+    for column, member, want in (((1, 0), False, ["U"]),
+                                 ((4, 6), True, ["U", "V"])):
+        built.clear()
+        assert G.columns_are_zero(IntMatrix.column(column)) is member
+        assert built == want
+
+    snf = exact.smith_normal_form(A)
+    built.clear()
+    for name in ("U", "U_inv", "V"):
+        assert getattr(snf, name) is getattr(snf, name)
+    assert sorted(built) == ["U", "U_inv", "V"]
+
+
 class TestCohomology:
     def test_hollow_triangle_z(self):
         h = cohomology(hollow_triangle(), ZCOEFF, 1)
@@ -609,7 +659,7 @@ class TestPresentations:
         proj = IntMatrix(1, 1, [1])
         x = hom_preimage(proj, z6, z3, (2,))
         assert x is not None
-        assert z3.elements_equal((x[0],), (2,))
+        assert z3.columns_are_zero(IntMatrix.column((x[0] - 2,)))
 
     def test_presented_cohomology(self):
         # 0 -> Z --2--> Z -> 0 at the middle spot: Z/2
