@@ -39,9 +39,7 @@ boundary constructions sit on top.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,7 +52,6 @@ from .regions import (
     Tri,
     contains_point,
     region_contains,
-    region_descriptor,
     simplex_in_region,
 )
 from .simplicial import (
@@ -71,11 +68,7 @@ from .simplicial import (
     subdivision_levels,
     t_n_complex,
 )
-from .symbolic import (
-    AffineSimplex,
-    FormalChain,
-    cone_simplex,
-)
+from .symbolic import AffineSimplex, FormalChain
 
 # largest simplex dimension the cylinder and projection constructions take
 K_CAP = 3
@@ -94,38 +87,17 @@ class CoveringError(Exception):
         self.attempts = list(attempts)
 
 
-@dataclass(init=False)
+@dataclass
 class CompatibleCovering:
-    """A (W, t) assignment on faces of a realized complex.
-
-    ``uid`` names the assignment table: 16 hex digits of the sha256 of its
-    canonical JSON form, computed on first read unless given."""
+    """A (W, t) assignment on faces of a realized complex."""
 
     complex: OrderedSimplicialComplex
     realization: Realization
     assignments: dict  # face key -> (Region W, point t)
-    _uid: str = field(default="", init=False, repr=False, compare=False)
 
-    def __init__(self, complex: OrderedSimplicialComplex,
-                 realization: Realization, assignments: dict, uid: str = ""):
-        self.complex = complex
-        self.realization = realization
+    def __post_init__(self):
         self.assignments = {frozenset(k): (w, tuple(frac(c) for c in t))
-                            for k, (w, t) in assignments.items()}
-        self._uid = uid
-
-    @property
-    def uid(self) -> str:
-        if not self._uid:
-            blob = json.dumps(
-                [[sorted(map(repr, k)),
-                  region_descriptor(w),
-                  [frac_str(c) for c in t]]
-                 for k, (w, t) in sorted(self.assignments.items(),
-                                         key=lambda kv: sorted(map(repr, kv[0])))],
-                sort_keys=True)
-            self._uid = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        return self._uid
+                            for k, (w, t) in self.assignments.items()}
 
     def W(self, key) -> Region:
         return self.assignments[frozenset(key)][0]
@@ -274,7 +246,7 @@ def find_covering(K: OrderedSimplicialComplex, R: Realization,
     attempts = []
     levels = subdivision_levels(K)
     for n in range(n_cap + 1):
-        subs, chain_map, _ = next(levels)
+        subs, chain_map = next(levels)
         cx = subs[-1].complex if subs else K
         real = R.extended_to(cx)
         cand = _candidate_covering(cx, real)
@@ -383,7 +355,7 @@ def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
     subdivide n times and stack the n-step prism on [1, 2]."""
     check_depth(n, error=CoveringError)
     lower = _lower_cylinder(k, eta)
-    subs, chain_map, _ = iterate_subdivide(lower.L, n)
+    subs, chain_map = iterate_subdivide(lower.L, n)
     Sn = subs[-1].complex if subs else lower.L
     return _stacked(lower, n, Sn, lower.L_realization.extended_to(Sn),
                     chain_map)
@@ -487,7 +459,8 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
             add_into(target, h[sub].terms, -c)
         if not FormalChain(target).boundary().is_zero():
             raise CoveringError("homotopy extension target is not a cycle")
-        h[key] = FormalChain.image(target, lambda s: cone_simplex(apex, s))
+        h[key] = FormalChain.image(
+            target, lambda s: AffineSimplex((apex,) + s.points))
     return ProjectionData(k=k, eta=eta, n=n, cyl=cyl, covering=covering,
                           pi=pi, h0=h0, h=h)
 

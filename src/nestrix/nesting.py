@@ -24,9 +24,10 @@ intersection of the regions at the single barycenters, and ``regions``
 decides containment in an intersection member by member (TRUE iff every
 member gives TRUE, FALSE if one gives FALSE), so the chain condition is
 the face-coface condition "each face lies in the region at each coface's
-barycenter alone", verdict for verdict.  It is asked as such: 2^m - 1
-faces for a coface with m vertices, where the number of chains grows
-factorially in m (``small_chain_tests``).
+barycenter alone", verdict for verdict.  ``in_c_eta`` asks it as such,
+for a point list and, through ``symbolic.chain_in_c_eta``, for each simplex
+of a formal chain: 2^m - 1 faces for a coface with m vertices, where the
+number of chains grows factorially in m (``small_chain_tests``).
 """
 
 from __future__ import annotations
@@ -298,7 +299,9 @@ def small_chain_tests(size):
 def in_c_eta(points, eta: NestingOracle) -> bool:
     """Does the affine simplex on ``points`` lie in the small-chain complex?
 
-    Asks each face-coface pair (``small_chain_tests``): the face must lie
+    The one small-chain routine: the covering pipeline asks it of point
+    lists, and ``symbolic.chain_in_c_eta`` of each simplex of a formal
+    chain.  Asks each face-coface pair (``small_chain_tests``): the face must lie
     in eta at the coface's barycenter.  Since eta at a chain of
     barycenters is the intersection of the regions at its members, this
     is the condition on every strict face chain ending at the simplex,

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import frac, frac_str
+from .exact import frac
 
 
 class RegionError(Exception):
@@ -74,9 +74,9 @@ class AffineMap:
     """x -> A x + b over Q, rows x cols rational matrix.
 
     The nonzero ``(j, c)`` terms of every row and the hash are computed
-    once, at construction; ``apply``, ``transpose_apply`` and ``compose``
-    walk those terms only, so zero coefficients cost nothing and unit ones
-    no product.  Every value is still the exact dense formula's.
+    once, at construction; ``apply`` and ``transpose_apply`` walk those
+    terms only, so zero coefficients cost nothing and unit ones no
+    product.  Every value is still the exact dense formula's.
     """
 
     rows: tuple       # tuple of coordinate rows (tuples of Fraction)
@@ -113,21 +113,6 @@ class AffineMap:
         return tuple(_combine(terms, x, o)
                      for terms, o in zip(self._terms, self.offset))
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner."""
-        if self.source_dim != inner.target_dim:
-            raise RegionError("composition dimension mismatch")
-        rows = []
-        for terms in self._terms:
-            # row i of the product is sum over k of A[i][k] * (row k of B)
-            row = [Fraction(0)] * inner.source_dim
-            for k, c in terms:
-                for j, b in inner._terms[k]:
-                    row[j] += b if c == 1 else c * b
-            rows.append(tuple(row))
-        offset = self.apply(inner.offset) if inner.rows else self.offset
-        return AffineMap(tuple(rows), offset)
-
     def rows_orthonormal(self) -> bool:
         cached = getattr(self, "_rows_on", None)
         if cached is None:
@@ -160,11 +145,6 @@ class AffineMap:
             for i, c in terms:
                 out[i] += yk if c == 1 else c * yk
         return tuple(out)
-
-    def descriptor(self):
-        return ("affine",
-                tuple(tuple(frac_str(x) for x in r) for r in self.rows),
-                tuple(frac_str(x) for x in self.offset))
 
     @classmethod
     def projection_drop_last(cls, dim_from, count=1):
@@ -566,22 +546,3 @@ def preimage_region(f: AffineMap, region: Region) -> Region:
             return Empty()
         return OpenBall(center, sq)
     return AffinePreimage(f, region)
-
-
-def region_descriptor(region: Region):
-    """Canonical, JSON-serializable structure."""
-    if isinstance(region, Ambient):
-        return ["ambient"]
-    if isinstance(region, Empty):
-        return ["empty"]
-    if isinstance(region, OpenBall):
-        return ["ball", [frac_str(c) for c in region.center],
-                frac_str(region.sq_radius)]
-    if isinstance(region, Intersection):
-        return ["intersection", [region_descriptor(m) for m in region.members]]
-    if isinstance(region, Polytope):
-        return ["polytope", [[frac_str(c) for c in v] for v in region.vertices]]
-    if isinstance(region, AffinePreimage):
-        return ["preimage", list(region.map.descriptor()),
-                region_descriptor(region.inner)]
-    raise RegionError(f"no descriptor for {region!r}")

@@ -126,7 +126,7 @@ def add_into(out, chain, scale=1):
     """out += scale * chain in place, dropping zero coefficients; returns out.
 
     The one chain accumulator.  Keys are any hashable generators: faces of
-    a complex or symbolic simplices.
+    a complex or affine simplices.
     """
     for k, c in chain.items():
         c = out.get(k, 0) + scale * c
@@ -280,10 +280,6 @@ class OrderedSimplicialComplex:
                 raise SimplicialError("chain is not homogeneous")
             vec[index[frozenset(k)]] = c
         return tuple(vec)
-
-    def vector_to_chain(self, vec, d):
-        keys = self.basis(d)
-        return {k: c for k, c in zip(keys, vec) if c}
 
     # -- construction helpers -------------------------------------------------
 
@@ -455,7 +451,6 @@ def realize_vertices(complex_, base):
 class SubdivisionResult:
     complex: OrderedSimplicialComplex
     chain_map: SimplicialChainMap
-    carrier: dict  # face of S(K) -> smallest face of K containing it
 
 
 def _flag_facets(complex_, key, memo):
@@ -478,7 +473,7 @@ def _flag_facets(complex_, key, memo):
 
 
 def subdivide(K: OrderedSimplicialComplex) -> SubdivisionResult:
-    """Barycentric subdivision with its chain map and carrier bookkeeping."""
+    """Barycentric subdivision with its chain map."""
     flags = {}
     # distinct flags span distinct faces, so no coefficient cancels
     values = {key: {frozenset(f): sign
@@ -486,30 +481,21 @@ def subdivide(K: OrderedSimplicialComplex) -> SubdivisionResult:
               for key in K.faces}
     SK = OrderedSimplicialComplex.from_facets(
         [f for key in K.facets() for f, _ in flags[key]])
-
-    parent = {bvertex(key): key for key in K.faces}
-    # vertices of a subdivision face are barycenters of a flag, so the
-    # parents are nested and the largest one is the carrier
-    carrier = {fkey: max((parent[v] for v in fkey), key=len)
-               for fkey in SK.faces}
-    S = SimplicialChainMap(K, SK, 0, values)
-    return SubdivisionResult(SK, S, carrier)
+    return SubdivisionResult(SK, SimplicialChainMap(K, SK, 0, values))
 
 
 def subdivision_levels(K):
-    """(subdivisions, composed chain map, carrier) for S^n K, n = 0, 1, ...
+    """(subdivisions, composed chain map) for S^n K, n = 0, 1, ...
 
     Each level subdivides the previous level's complex once.
     """
     results = []
     chain_map = SimplicialChainMap(K, K, 0, {k: {k: 1} for k in K.faces})
-    carrier = {k: k for k in K.faces}
     while True:
-        yield list(results), chain_map, carrier
+        yield list(results), chain_map
         res = subdivide(results[-1].complex if results else K)
         chain_map = compose_chain_maps(res.chain_map, chain_map) \
             if results else res.chain_map
-        carrier = {k: carrier[res.carrier[k]] for k in res.complex.faces}
         results.append(res)
 
 
@@ -520,7 +506,7 @@ def check_depth(n, what="subdivision depth", error=SimplicialError):
 
 
 def iterate_subdivide(K, n):
-    """n-fold subdivision: (list of complexes, composed chain map, carrier)."""
+    """n-fold subdivision: (list of complexes, composed chain map)."""
     check_depth(n)
     return next(itertools.islice(subdivision_levels(K), n, None))
 

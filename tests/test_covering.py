@@ -1,15 +1,14 @@
 """The small-chain projection and the boundary construction, checked
 against the identities that define them: pi fixes vertices and is a chain
-map, dh + hd = id - pi on every face, pi lands in small chains, and the
-boundary construction returns a small x with dx = d(sigma).  S^n P - T_n is
-checked as a homotopy in the cylinder itself, before the projection q
-flattens it.  The cylinder's glued covering, validated only where it
-touches the n-step prism, gets the verdict and failures of a full
-validation."""
+map, dh + hd = id - pi on every face, pi lands in small chains, h sends
+each accepted face to a small chain, and the boundary construction returns
+a small x with dx = d(sigma).  S^n P - T_n is checked as a homotopy in the
+cylinder itself, before the projection q flattens it.  The cylinder's
+glued covering, validated only where it touches the n-step prism, gets the
+verdict and failures of a full validation."""
 
 import collections
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -32,7 +31,6 @@ from nestrix.covering import (
     small_chain_projection,
     validate_covering,
 )
-from nestrix.exact import frac_str
 from nestrix.nesting import (
     NestingError,
     PLRealm,
@@ -45,7 +43,6 @@ from nestrix.regions import (
     AffineMap,
     Polytope,
     polytope_contains_point,
-    region_descriptor,
 )
 from nestrix.symbolic import (
     AffineSimplex,
@@ -82,6 +79,8 @@ def assert_projection_identities(data, eta):
             [R.point(v) for v in order]))
         assert lhs == identity.add(pi, -1), order
         assert chain_in_c_eta(pi, eta) is True, order
+    for key in data.cyl.accepted.faces:
+        assert chain_in_c_eta(data.h[key], eta) is True, K.order(key)
 
 
 SEGMENT = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
@@ -305,7 +304,7 @@ def test_search_subdivides_once_per_depth(monkeypatch):
     # one subdivision and one candidate per depth
     assert res.n == 2 and len(calls) == 2 and len(validations) == 3
     monkeypatch.undo()
-    subs, chain_map, _ = simplicial.iterate_subdivide(K, 2)
+    subs, chain_map = simplicial.iterate_subdivide(K, 2)
     assert [s.complex for s in res.subdivision_results] == \
         [s.complex for s in subs]
     assert res.complex == subs[-1].complex
@@ -783,44 +782,6 @@ def test_oracles_evaluate_each_point_once(monkeypatch):
             assert region == evaluate(x)
 
 
-def reference_uid(cov):
-    blob = json.dumps(
-        [[sorted(map(repr, k)), region_descriptor(w),
-          [frac_str(c) for c in t]]
-         for k, (w, t) in sorted(cov.assignments.items(),
-                                 key=lambda kv: sorted(map(repr, kv[0])))],
-        sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def test_uid_is_computed_on_first_read(monkeypatch):
-    digests = []
-    sha256 = hashlib.sha256
-
-    def counted(data):
-        digests.append(data)
-        return sha256(data)
-
-    K, R = delta_complex(2)
-    assignments = {key: (Polytope(tuple(R.point(v) for v in K.order(key))),
-                         R.barycenter(K.order(key)))
-                   for key in K.all_faces()}
-    monkeypatch.setattr(covering.hashlib, "sha256", counted)
-    cov = CompatibleCovering(K, R, assignments)
-    named = CompatibleCovering(K, R, assignments, uid="given")
-    assert digests == []
-    assert named.uid == "given" and digests == []
-    # equality and repr look at the data fields only
-    assert cov == named and "uid" not in repr(cov)
-    first = cov.uid
-    assert cov.uid == first and len(digests) == 1
-    monkeypatch.undo()
-    assert first == reference_uid(cov)
-    data = small_chain_projection(2, ball_nesting(3, Fraction(1, 2)),
-                                  n_cap=3)
-    assert data.covering.uid == reference_uid(data.covering)
-
-
 # the three failing searches and the planted nested-sets covering, whose
 # reports a run prints as JSON; argv[1] is this file's directory
 REPORTS_SCRIPT = """
@@ -874,7 +835,7 @@ from test_covering import ball_nesting
 from nestrix import covering
 from nestrix.simplicial import iterate_subdivide
 K, R = covering.delta_complex(2)
-subs, _, _ = iterate_subdivide(K, 1)
+subs, _ = iterate_subdivide(K, 1)
 cx = subs[-1].complex
 cand = covering._candidate_covering(cx, R.extended_to(cx))
 report = covering.validate_covering(cand, ball_nesting(3, Fraction(1, 8)))

@@ -114,21 +114,10 @@ class TestSubdivision:
                 lambda v, key=key: _carrier_vertices(v) <= set(key))
             assert restricted == sub_face.complex
 
-    def test_carrier(self):
-        K = delta(2)
-        res = subdivide(K)
-        for fkey, car in res.carrier.items():
-            # carrier contains the face geometrically: every vertex of fkey
-            # is a barycenter of a subface of the carrier
-            for v in fkey:
-                assert _carrier_vertices(v) <= set(car)
-
     def test_iterated(self):
-        complexes, chain_map, carrier = iterate_subdivide(delta(2), 2)
+        complexes, chain_map = iterate_subdivide(delta(2), 2)
         chain_map.verify_chain_map()
         assert len(complexes) == 2
-        for k, car in carrier.items():
-            assert car in delta(2).faces
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("level", [0, 1, Fraction(4, 3)], ids=str)
@@ -238,7 +227,7 @@ class TestPrismT:
         K = delta(k)
         TnK, Tn, subs = t_n_complex(K, n)
         TnK.validate()
-        iterated, chain_map, _ = iterate_subdivide(K, n)
+        iterated, chain_map = iterate_subdivide(K, n)
         # the levels' own subdivisions are the plain n-fold subdivision
         assert [s.complex for s in subs] == [r.complex for r in iterated]
         assert [s.chain_map for s in subs] == [r.chain_map for r in iterated]

@@ -1,25 +1,23 @@
-"""Formal chains of symbolic simplices: sums, boundaries, images and
+"""Formal chains of affine simplices: sums, boundaries, images and
 pushforwards, with coefficients checked term by term; small-chain
-membership by face-coface pairs against the chain walk."""
+membership of every simplex the projection builds, by face-coface pairs,
+against the chain walk."""
 
 import functools
 from fractions import Fraction
 
 import pytest
 
-from nestrix import symbolic
 from nestrix.covering import small_chain_projection
-from nestrix.nesting import PLRealm, UniformBallRule, cover_generated
+from nestrix.nesting import PLRealm, UniformBallRule, cover_generated, in_c_eta
 from nestrix.regions import AffineMap, Tri
 from nestrix.symbolic import (
     AffineSimplex,
     FormalChain,
     SymbolicError,
-    cone_simplex,
-    image_in_region,
-    symbolic_in_c_eta,
+    chain_in_c_eta,
 )
-from test_nesting import chains_to_top, undecided_balls
+from test_nesting import chain_walk, three_valued, undecided_balls
 
 F = Fraction
 A = AffineSimplex([(0, 0), (1, 0)])
@@ -47,10 +45,11 @@ def test_image_sums_and_cancels():
     chain = {A: 1, B: 2, C: -3}
     assert FormalChain.image(chain, lambda s: A).is_zero()
     assert FormalChain.image({A: 1, B: 2}, lambda s: A).terms == {A: 3}
-    coned = FormalChain.image({A: 2, B: -1}, lambda s: cone_simplex((5, 5), s))
+    coned = FormalChain.image({A: 2, B: -1},
+                              lambda s: AffineSimplex(((5, 5),) + s.points))
     assert coned.dim == 2
-    assert coned.terms == {cone_simplex((5, 5), A): 2,
-                           cone_simplex((5, 5), B): -1}
+    assert coned.terms == {AffineSimplex([(5, 5), (0, 0), (1, 0)]): 2,
+                           AffineSimplex([(5, 5), (0, 1), (1, 1)]): -1}
     assert FormalChain.image({}, lambda s: A).is_zero()
 
 
@@ -92,21 +91,6 @@ def test_boundary_adds_repeated_faces():
     assert FormalChain.single(A).boundary().boundary().is_zero()
 
 
-def symbolic_chain_walk(simplex, eta):
-    """The chain verdict of small-chain membership of a symbolic simplex:
-    FALSE if the image of some chain's smallest face leaves the region at
-    the chain's barycenters, else UNKNOWN if some test is undecided."""
-    verdicts = set()
-    for chain in chains_to_top(simplex.dim + 1):
-        faces = [symbolic._subsimplex(simplex, s) for s in chain]
-        region = eta.region([f.barycenter() for f in faces])
-        verdicts.add(image_in_region(faces[0], region))
-    for v in (Tri.FALSE, Tri.UNKNOWN):
-        if v in verdicts:
-            return v
-    return Tri.TRUE
-
-
 @functools.cache
 def projected_simplices():
     """(simplex, ball nesting) for every simplex of pi and h of the
@@ -129,10 +113,19 @@ def projected_simplices():
 def assert_routes_agree():
     seen = set()
     for simplex, eta in projected_simplices():
-        want = symbolic_chain_walk(simplex, eta)
-        assert symbolic_in_c_eta(simplex, eta) is want, simplex
+        want = chain_walk(simplex.points, eta)
+        assert three_valued(in_c_eta, simplex.points, eta) is want, simplex
         seen.add(want)
     return seen
+
+
+def test_chain_is_small_iff_each_simplex_is():
+    eta = cover_generated(PLRealm(2), UniformBallRule(F(1, 4)))
+    small = AffineSimplex([(0, 0), (F(1, 4), 0)])
+    large = AffineSimplex([(0, 0), (2, 0)])
+    assert chain_in_c_eta(FormalChain({small: 3}), eta) is True
+    assert chain_in_c_eta(FormalChain({small: 1, large: -1}), eta) is False
+    assert chain_in_c_eta(FormalChain.zero(1), eta) is True
 
 
 def test_pairs_equal_chains():
