@@ -44,6 +44,11 @@ grows with bit length), for an r x c matrix A:
   U^-1 are the two isomorphisms; the pruned group is presented on at most
   as many generators, with only the invariant factors above 1 as
   relations.
+* ``presented_cohomology_at`` reads the diagonals of two Smith forms,
+  of [d1 | R2] and of the lifted coboundaries B~, and builds no
+  transform when G2 has no relations.  Otherwise one more Smith form, of
+  G2's relations R2, gives the lift and ker R2; only its U and V are
+  replayed.
 """
 
 from __future__ import annotations
@@ -791,25 +796,18 @@ class Presentation:
                 snf.U_inv.take_columns(kept))
 
 
-def direct_sum(presentations):
-    """Direct sum presentation plus the list of injection matrices."""
+def direct_sum(presentations) -> Presentation:
+    """Direct sum presentation: the summands' relations as diagonal blocks."""
     total = sum(p.rank for p in presentations)
     rel_cols = []
     offset = 0
-    injections = []
     for p in presentations:
-        inj = IntMatrix(total, p.rank,
-                        [[1 if (i - offset) == j and offset <= i < offset + p.rank
-                          else 0 for j in range(p.rank)] for i in range(total)])
-        injections.append(inj)
         for j in range(p.relations.cols):
             col = [0] * total
-            for i in range(p.rank):
-                col[offset + i] = p.relations.entry(i, j)
+            col[offset:offset + p.rank] = p.relations.col(j)
             rel_cols.append(col)
         offset += p.rank
-    return Presentation(total, IntMatrix.from_columns(total, rel_cols)), \
-        injections
+    return Presentation(total, IntMatrix.from_columns(total, rel_cols))
 
 
 def hom_is_well_defined(A: IntMatrix, src: Presentation, dst: Presentation) -> bool:
@@ -873,17 +871,61 @@ def cokernel_witness(A: IntMatrix, src: Presentation, dst: Presentation):
     return None
 
 
+def _lift_into_relations(R: IntMatrix, M: IntMatrix):
+    """(Y, K) with R Y = M exactly and K's columns a basis of ker R.
+
+    Both come from one Smith form of R: Y by back-substitution, K as the
+    columns of V past R's rank.  A column of M outside im R raises
+    ExactAlgebraError.  With no relations (R has no columns) the solve is
+    the check M = 0, and Y and K are empty.
+    """
+    if not R.cols:
+        bad = next((j for j in range(M.cols) if any(M.col(j))), None)
+        if bad is not None:
+            raise ExactAlgebraError(f"column {bad} escapes the lattice")
+        return IntMatrix.zeros(0, M.cols), IntMatrix.zeros(0, 0)
+    snf = smith_normal_form(R)
+    Y = _back_substitute(snf, M)
+    if isinstance(Y, NotABoundary):
+        raise ExactAlgebraError(f"column {Y.column} escapes the lattice")
+    return Y, snf.V.take_columns(range(snf.rank(), R.cols))
+
+
 def presented_cohomology_at(groups, maps, degree) -> HomologySummary:
     """Cohomology at the middle spot of G0 -> G1 -> G2 (presented groups).
 
-    ``groups`` is [G0, G1, G2]; ``maps`` is [d0: G0->G1, d1: G1->G2];
-    the returned summary carries ``degree``.  The answer is ker d1 on
-    coker d0: cocycles modulo coboundaries and G1's relations.
+    ``groups`` is [G0, G1, G2] with G_i = Z^{r_i} / im R_i; ``maps`` is
+    [d0: G0->G1, d1: G1->G2]; the returned summary carries ``degree``.
+    The answer is ker d1 on coker d0: the cocycles {x : d1 x in im R2}
+    modulo im B, where B = [d0 | R1].
+
+    It is read from the Smith diagonals of phi and B~.  Let
+    phi = [d1 | R2] on Z^{r1 + c2}, c2 the number of columns of R2.  Solve
+    R2 Y = -d1 B exactly (d1 must map coboundaries and G1's relations into
+    im R2, or ExactAlgebraError is raised), let K be a basis of ker R2 and
+    B~ = [[B, 0], [Y, K]].  Then
+
+        H = Z^{(r1 + c2 - rank phi) - rank B~} + tors(B~).
+
+    Projecting ker phi onto its first r1 coordinates maps it onto the
+    cocycles, with kernel 0 + ker R2.  ker phi is saturated in Z^{r1 + c2}
+    and im B~ lies inside it.  So H = ker phi / im B~: its rank is
+    rank ker phi - rank B~ and its torsion that of Z^{r1 + c2} / im B~.
+    When G2 has no relations, Y and K are empty and B~ = B.
     """
-    g0, g1, g2 = groups
+    _, g1, g2 = groups
     d0, d1 = maps
-    H, _ = hom_kernel(d1, hom_cokernel(d0, g0, g1), g2)
-    return H.summary(degree)
+    R2 = g2.relations
+    B = d0.hstack(g1.relations)
+    Y, K = _lift_into_relations(R2, -(d1 * B))
+    pad = (0,) * K.cols
+    B_tilde = IntMatrix(B.rows + R2.cols, B.cols + K.cols,
+                        [B.row(i) + pad for i in range(B.rows)]
+                        + [Y.row(i) + K.row(i) for i in range(R2.cols)])
+    cocycle_rank = d1.cols + R2.cols - \
+        smith_normal_form(d1.hstack(R2)).rank()
+    snf = smith_normal_form(B_tilde)
+    return HomologySummary(degree, cocycle_rank - snf.rank(), snf.torsion())
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def constant_sheaf(space, coeff) -> Presheaf:
         return space.components(U) if U else []
 
     def group_fn(U):
-        return direct_sum([base] * len(comps(U)))[0]
+        return direct_sum([base] * len(comps(U)))
 
     def res_fn(U, V):
         cu, cv = comps(U), comps(V)
@@ -255,7 +255,7 @@ def image_cochain_presheaf(space, degree, coeff) -> Presheaf:
         return space.connected_subsets(U)
 
     def group_fn(U):
-        return direct_sum([base] * len(domains(U)))[0]
+        return direct_sum([base] * len(domains(U)))
 
     def res_fn(U, V):
         du, dv = domains(U), domains(V)
@@ -335,8 +335,8 @@ def sheafify(F: Presheaf) -> SheafificationResult:
                 targets.append(gx)
         phi = _block_matrix([g.rank for g in targets],
                             [g.rank for g in stalks], blocks)
-        return hom_kernel(phi, direct_sum(stalks)[0],
-                          direct_sum(targets)[0])
+        return hom_kernel(phi, direct_sum(stalks),
+                          direct_sum(targets))
 
     def group_fn(U):
         if not U:
@@ -431,10 +431,10 @@ def _matching_families(F: Presheaf, cover):
         blocks.append((r, i, 1, F.restriction(cover[i], W)))
         blocks.append((r, j, -1, F.restriction(cover[j], W)))
         targets.append(gW)
-    big = direct_sum(parts)[0]
+    big = direct_sum(parts)
     phi = _block_matrix([g.rank for g in targets], [g.rank for g in parts],
                         blocks)
-    _, basis = hom_kernel(phi, big, direct_sum(targets)[0])
+    _, basis = hom_kernel(phi, big, direct_sum(targets))
     return basis, big
 
 
@@ -477,7 +477,7 @@ def is_sheaf(F: Presheaf) -> bool:
                 return False
             continue
         cover = [sp.minimal_open(x) for x in sorted(U, key=vkey)]
-        big = direct_sum([F.group(V) for V in cover])[0]
+        big = direct_sum([F.group(V) for V in cover])
         if not hom_is_injective(_stacked_restrictions(F, U, cover),
                                 F.group(U), big):
             return False
@@ -528,7 +528,7 @@ def sheaf_cohomology_nerve(F: Presheaf, max_degree) -> list:
     chains = [[] for _ in range(max_degree + 2)]
     for c in sp.poset().chains(max_len=max_degree + 2):
         chains[len(c) - 1].append(c)
-    groups = [direct_sum([F.stalk(c[0]) for c in ch])[0] for ch in chains]
+    groups = [direct_sum([F.stalk(c[0]) for c in ch]) for ch in chains]
     diffs = [_nerve_differential(F, chains[n], chains[n + 1])
              for n in range(max_degree + 1)]
     return _cochain_cohomology(groups, diffs)
@@ -550,7 +550,7 @@ def godement_envelope(F: Presheaf):
         return stalks[x]
 
     def group_fn(U):
-        return direct_sum([stalk(x)[0] for x in sorted(U, key=vkey)])[0]
+        return direct_sum([stalk(x)[0] for x in sorted(U, key=vkey)])
 
     def res_fn(U, V):
         ptsU = sorted(U, key=vkey)
@@ -661,7 +661,7 @@ def cech_cohomology(F: Presheaf, cover, max_degree) -> list:
         return _block_matrix([g.rank for g in parts[p + 1]],
                              [g.rank for g in parts[p]], blocks)
 
-    return _cochain_cohomology([direct_sum(ps)[0] for ps in parts],
+    return _cochain_cohomology([direct_sum(ps) for ps in parts],
                                [diff(p) for p in range(max_degree + 1)])
 
 

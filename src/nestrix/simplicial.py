@@ -269,7 +269,9 @@ class OrderedSimplicialComplex:
                 for sub, c in self.boundary_of_face(key).items():
                     data[index[sub] * ncols + j] = c
             boundaries[d] = IntMatrix(len(index), ncols, data)
-        return FinChainComplex(ranks, boundaries)
+        # simplicial boundaries square to zero by construction; the tests
+        # check d o d = 0 on every family of complexes the library builds
+        return FinChainComplex(ranks, boundaries, check=False)
 
     def chain_to_vector(self, chain, d):
         keys = self.basis(d)

@@ -495,8 +495,9 @@ def test_sweep_runs_one_smith_form_per_boundary(monkeypatch):
         assert len(calls) == len(set(calls))
 
 
-def test_transforms_built_only_when_read(monkeypatch):
-    """U, U_inv and V are replayed only for callers that read them."""
+def count_transforms(monkeypatch):
+    """(made, built): every Smith form made from now on, and the name of
+    every transform replayed ("U", "U_inv" or "V"), in order."""
     made, built = [], []
     real_snf, real_replay = exact.smith_normal_form, exact._replay
 
@@ -511,6 +512,12 @@ def test_transforms_built_only_when_read(monkeypatch):
 
     monkeypatch.setattr(exact, "smith_normal_form", counted_snf)
     monkeypatch.setattr(exact, "_replay", counted_replay)
+    return made, built
+
+
+def test_transforms_built_only_when_read(monkeypatch):
+    """U, U_inv and V are replayed only for callers that read them."""
+    made, built = count_transforms(monkeypatch)
     C = subdivide(OrderedSimplicialComplex.standard_simplex(3)).complex \
         .chain_complex()
     for n in range(C.min_degree, C.max_degree + 1):
@@ -629,10 +636,15 @@ class TestPresentations:
         assert Presentation.cyclic(0).summary().free_rank == 1
 
     def test_direct_sum(self):
-        p, injs = direct_sum([Presentation.cyclic(2), Presentation.free(1)])
+        p = direct_sum([Presentation.cyclic(2), Presentation.free(1),
+                        Presentation(2, IntMatrix.from_rows([[3, 0],
+                                                             [1, 5]]))])
+        assert p.rank == 4
+        assert p.relations == IntMatrix.from_rows(
+            [[2, 0, 0], [0, 0, 0], [0, 3, 0], [0, 1, 5]])
         s = p.summary()
-        assert s.free_rank == 1 and s.torsion == (2,)
-        assert len(injs) == 2
+        assert s.free_rank == 1 and s.torsion == (30,)
+        assert direct_sum([]) == Presentation.zero()
 
     def test_hom_well_defined(self):
         z4 = Presentation.cyclic(4)
@@ -720,6 +732,91 @@ def test_pruned_hand_cases():
     assert P == Presentation.free(2)
     assert to_p == from_p == IntMatrix.identity(2)
     assert Presentation.zero().pruned()[0] == Presentation.zero()
+
+
+def reference_presented_cohomology(groups, maps, degree):
+    """The kernel-basis route: ker d1 on coker d0 through hom_kernel."""
+    g0, g1, g2 = groups
+    d0, d1 = maps
+    H, _ = hom_kernel(d1, hom_cokernel(d0, g0, g1), g2)
+    return H.summary(degree)
+
+
+def random_matrix(rng, rows, cols):
+    return IntMatrix(rows, cols, [rng.choice((0, 0, 1, -1, 2, -2, 3))
+                                  for _ in range(rows * cols)])
+
+
+def random_presented_complex(rng):
+    """G0 -> G1 -> G2 on which d1 descends and d1 d0 = 0 in G2.
+
+    Either R1 = [d0 R0 | extra] and R2 = [d1 R1 | d1 d0 | extra], so R2's
+    columns are dependent, or G2 is free and d0 and R1 land in ker d1.
+    The extras have torsion, zero and repeated columns.
+    """
+    r0, r1, r2 = (rng.randint(0, 4) for _ in range(3))
+    d1 = random_matrix(rng, r2, r1)
+    R0 = random_relations(rng, r0).relations
+    if rng.random() < 0.3:
+        K = kernel_basis(d1)
+        d0 = K * random_matrix(rng, K.cols, r0)
+        R1 = (d0 * R0).hstack(K * random_relations(rng, K.cols).relations)
+        R2 = IntMatrix.zeros(r2, 0)
+    else:
+        d0 = random_matrix(rng, r1, r0)
+        R1 = (d0 * R0).hstack(random_relations(rng, r1).relations)
+        R2 = (d1 * R1).hstack(d1 * d0).hstack(
+            random_relations(rng, r2).relations)
+    groups = [Presentation(r, R) for r, R in ((r0, R0), (r1, R1), (r2, R2))]
+    return groups, [d0, d1]
+
+
+def test_presented_cohomology_matches_kernel_route():
+    rng = random.Random(1602)
+    seen = collections.Counter()
+    for case in range(2000):
+        groups, maps = random_presented_complex(rng)
+        got = presented_cohomology_at(groups, maps, case % 4)
+        assert got == reference_presented_cohomology(groups, maps, case % 4)
+        R2 = groups[2].relations
+        seen["torsion"] += bool(got.torsion)
+        seen["free"] += got.free_rank > 0
+        seen["trivial"] += got.is_trivial()
+        seen["free target"] += not R2.cols
+        seen["dependent R2"] += smith_normal_form(R2).rank() < R2.cols
+        seen["zero column"] += any(not any(R2.col(j))
+                                   for j in range(R2.cols))
+        seen["rank-0 group"] += any(g.rank == 0 for g in groups)
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("g1, g2, d0, d1", [
+    # free G2: d1 d0 = 1, and a relation of G1 = Z/2 maps to 1
+    (Presentation.free(1), Presentation.free(1), [1], [1]),
+    (Presentation.cyclic(2), Presentation.free(1), [0], [1]),
+    # torsion G2 = Z/4: d1 d0 = 2, and a relation of G1 = Z/3 maps to 3
+    (Presentation.free(1), Presentation.cyclic(4), [1], [2]),
+    (Presentation.cyclic(3), Presentation.cyclic(4), [0], [1]),
+])
+def test_presented_cohomology_fails_closed(g1, g2, d0, d1):
+    """d1 must map coboundaries and G1's relations into im R2."""
+    groups = [Presentation.free(1), g1, g2]
+    maps = [IntMatrix(1, 1, d0), IntMatrix(1, 1, d1)]
+    for route in (presented_cohomology_at, reference_presented_cohomology):
+        with pytest.raises(ExactAlgebraError):
+            route(groups, maps, 1)
+
+
+def test_presented_cohomology_cost(monkeypatch):
+    """Two Smith diagonals and no transform with a free G2; with relations
+    a third Smith form, of R2, whose U and V alone are replayed."""
+    made, built = count_transforms(monkeypatch)
+    assert presented_cohomology(full_triangle(), 0, 1).is_trivial()
+    assert len(made) == 2 and built == []
+    made.clear()
+    assert presented_cohomology(hollow_triangle(), 4, 0) == \
+        exact.HomologySummary(0, 0, (4,))
+    assert len(made) == 3 and built == ["U", "V"]
 
 
 def test_relation_membership_runs_one_smith_form(monkeypatch):

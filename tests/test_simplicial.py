@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nestrix import exact, simplicial
+from nestrix.finite_space import example03_space, pseudocircle, random_space
 from nestrix.simplicial import (
     iterated_mesh_sq,
     OrderedSimplicialComplex,
@@ -65,9 +66,18 @@ class TestComplexBasics:
             random_complex(seed).validate()
 
     def test_boundary_squared_zero(self):
-        K = delta(3)
-        C = K.chain_complex()
-        C.verify_d_squared()
+        """chain_complex skips the d o d check, so it is checked here on
+        random complexes, S^2(Delta^2), prisms, T_n and the order complexes
+        of finite spaces."""
+        complexes = [delta(3), iterate_subdivide(delta(2), 2)[0][-1].complex]
+        complexes += [random_complex(seed) for seed in range(20)]
+        complexes += [prism_complex(delta(k))[0] for k in range(3)]
+        complexes += [t_n_complex(delta(k), n)[0]
+                      for k in range(3) for n in (1, 2)]
+        complexes += [X.order_complex() for X in (
+            example03_space(), pseudocircle(), random_space(6, 0.4, 3))]
+        for K in complexes:
+            K.chain_complex().verify_d_squared()
 
     def test_chain_complex_matches_faces(self):
         for seed in range(20):
