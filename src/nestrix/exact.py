@@ -511,18 +511,13 @@ def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
     return None if isinstance(x, NotABoundary) else x.col(0)
 
 
-def lattice_basis(generators: IntMatrix) -> IntMatrix:
-    """Canonical basis of the lattice spanned by the given columns."""
-    return image_basis(generators)
-
-
 def preimage_lattice(A: IntMatrix, L: IntMatrix) -> IntMatrix:
     """Basis of {x : A x lies in the lattice spanned by L's columns}."""
     if L.rows != A.rows:
         raise ExactAlgebraError("ambient mismatch in preimage_lattice")
     K = kernel_basis(A.hstack(-1 * L))
     proj = K.take_rows(list(range(A.cols)))
-    return lattice_basis(proj)
+    return image_basis(proj)
 
 
 def lattice_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -827,7 +822,7 @@ def hom_kernel(A: IntMatrix, src: Presentation, dst: Presentation):
     Returns (kernel presentation, inclusion matrix K) where K's columns are
     lattice representatives in Z^src.rank of the kernel generators.
     """
-    dst_rel = lattice_basis(dst.relations) if dst.relations.cols \
+    dst_rel = image_basis(dst.relations) if dst.relations.cols \
         else dst.relations
     M = preimage_lattice(A, dst_rel) if dst_rel.cols else kernel_basis(A)
     # src relations always land in M (well-definedness), so quotient by them

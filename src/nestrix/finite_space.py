@@ -1,9 +1,12 @@
-"""Finite T0 topological spaces as open-set lattices.
+"""Finite T0 topological spaces, stored as their minimal opens.
 
-A space is stored explicitly as its family of opens (closed under union
-and intersection, containing the empty set and the whole space).  Points
-with equal minimal opens are topologically indistinguishable; such input
-is rejected with the offending pairs listed.
+A finite space is Alexandrov: each point x has a smallest open U_x, and
+the opens are exactly the unions of minimal opens.  A space is stored as
+its points and one U_x per point; the specialization order is
+x <= y iff x lies in U_y, and the family of opens is derived from the
+minimal opens once, at construction.  Points with equal minimal opens are
+topologically indistinguishable; such input is rejected with the
+offending pairs listed.
 
 Connectivity is computed on the comparability graph of the specialization
 order restricted to the subset.  For finite spaces this graph is connected
@@ -39,39 +42,50 @@ class NotT0Error(FiniteSpaceError):
 
 
 class FiniteSpace:
-    def __init__(self, points, opens, check=True):
-        self.points = tuple(sorted(points, key=vkey))
-        self.opens = frozenset(frozenset(o) for o in opens)
-        self._min_open = None
-        if check:
-            self.validate()
+    def __init__(self, minimal_opens):
+        """Space on the keys of ``minimal_opens``; point x maps to U_x."""
+        self.points = tuple(sorted(minimal_opens, key=vkey))
+        mins = {x: frozenset(minimal_opens[x]) for x in self.points}
+        for x, U in mins.items():
+            # x in U_x, and U_x holds U_y for each of its points y
+            if x not in U or not all(y in mins and mins[y] <= U for y in U):
+                raise FiniteSpaceError(
+                    f"{set(U)!r} is not a minimal open of {x!r}")
+        pts = self.points
+        pairs = [(pts[i], pts[j]) for i in range(len(pts))
+                 for j in range(i + 1, len(pts))
+                 if mins[pts[i]] == mins[pts[j]]]
+        if pairs:
+            raise NotT0Error(pairs)
+        self._min_open = mins
+        opens = {frozenset()}
+        stack = [frozenset()]
+        while stack:
+            o = stack.pop()
+            for U in mins.values():
+                new = o | U
+                if new not in opens:
+                    opens.add(new)
+                    stack.append(new)
+        self.opens = frozenset(opens)
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_basis(cls, points, basis):
-        """Topology generated by the given sets (as a subbasis)."""
+        """Topology generated by the given sets (as a subbasis).
+
+        U_x is X intersected with every given set that contains x.
+        """
         points = tuple(points)
-        pset = frozenset(points)
-        family = {frozenset(), pset}
+        mins = dict.fromkeys(points, frozenset(points))
         for b in basis:
             b = frozenset(b)
-            if not b <= pset:
+            if not b <= mins.keys():
                 raise FiniteSpaceError(f"basis set {set(b)!r} not within points")
-            family.add(b)
-        changed = True
-        while changed:
-            changed = False
-            items = list(family)
-            for i in range(len(items)):
-                for j in range(i + 1, len(items)):
-                    for new in (items[i] | items[j], items[i] & items[j]):
-                        if new not in family:
-                            family.add(new)
-                            changed = True
-        space = cls(points, family, check=False)
-        space.validate()
-        return space
+            for x in b:
+                mins[x] &= b
+        return cls(mins)
 
     @classmethod
     def from_poset(cls, points, leq):
@@ -80,30 +94,6 @@ class FiniteSpace:
         for x in points:
             basis.append({y for y in points if leq(y, x)})
         return cls.from_basis(points, basis)
-
-    def validate(self):
-        pset = frozenset(self.points)
-        if frozenset() not in self.opens or pset not in self.opens:
-            raise FiniteSpaceError("opens must contain the empty set and X")
-        for a in self.opens:
-            if not a <= pset:
-                raise FiniteSpaceError("open set escapes the point set")
-            for b in self.opens:
-                if a | b not in self.opens or a & b not in self.opens:
-                    raise FiniteSpaceError("opens not closed under union/intersection")
-        pairs = self._indistinguishable_pairs()
-        if pairs:
-            raise NotT0Error(pairs)
-
-    def _indistinguishable_pairs(self):
-        mins = self.minimal_opens()
-        pairs = []
-        pts = self.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if mins[pts[i]] == mins[pts[j]]:
-                    pairs.append((pts[i], pts[j]))
-        return pairs
 
     # -- basic queries ----------------------------------------------------------
 
@@ -114,26 +104,34 @@ class FiniteSpace:
         return sorted_faces(self.opens)
 
     def minimal_opens(self):
-        if self._min_open is None:
-            out = {}
-            for x in self.points:
-                acc = frozenset(self.points)
-                for o in self.opens:
-                    if x in o:
-                        acc &= o
-                out[x] = acc
-            self._min_open = out
         return self._min_open
 
     def minimal_open(self, x):
-        return self.minimal_opens()[x]
+        return self._min_open[x]
 
     def leq(self, x, y):
-        """Specialization order: x <= y iff U_x is contained in U_y."""
-        return self.minimal_open(x) <= self.minimal_open(y)
+        """Specialization order: x <= y iff x lies in U_y."""
+        return x in self._min_open[y]
 
-    def poset(self) -> "SpecializationPoset":
-        return SpecializationPoset(self)
+    def chains(self, max_len=None):
+        """All nonempty strictly increasing chains, ascending order."""
+        pts = self.points
+        out = []
+
+        def extend(chain):
+            out.append(tuple(chain))
+            if max_len is not None and len(chain) >= max_len:
+                return
+            last = chain[-1]
+            for y in pts:
+                if y != last and self.leq(last, y):
+                    chain.append(y)
+                    extend(chain)
+                    chain.pop()
+
+        for x in pts:
+            extend([x])
+        return sorted(out, key=lambda c: (len(c), tuple(vkey(v) for v in c)))
 
     # -- connectivity -------------------------------------------------------------
 
@@ -141,19 +139,7 @@ class FiniteSpace:
         return self.leq(x, y) or self.leq(y, x)
 
     def is_connected_subset(self, subset):
-        subset = frozenset(subset)
-        if not subset:
-            return False
-        pts = sorted(subset, key=vkey)
-        seen = {pts[0]}
-        stack = [pts[0]]
-        while stack:
-            x = stack.pop()
-            for y in pts:
-                if y not in seen and self.comparable(x, y):
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(pts)
+        return bool(subset) and len(self.components(subset)) == 1
 
     def connected_subsets(self, within=None):
         """Nonempty connected subsets of the given open (default: X)."""
@@ -203,8 +189,7 @@ class FiniteSpace:
 
     def order_complex(self) -> OrderedSimplicialComplex:
         """Complex of nonempty chains of the specialization poset."""
-        chains = self.poset().chains()
-        return OrderedSimplicialComplex.from_facets(chains)
+        return OrderedSimplicialComplex.from_facets(self.chains())
 
     # -- contractibility -----------------------------------------------------------
 
@@ -237,47 +222,6 @@ class ContractibilityCertificate:
         return self.kind != "unknown"
 
 
-class SpecializationPoset:
-    """x <= y iff U_x is contained in U_y; chains drive the order complex."""
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-        self.points = space.points
-
-    def leq(self, x, y):
-        return self.space.leq(x, y)
-
-    def covers(self):
-        out = []
-        for x in self.points:
-            for y in self.points:
-                if x != y and self.leq(x, y):
-                    if not any(self.leq(x, z) and self.leq(z, y)
-                               and z != x and z != y for z in self.points):
-                        out.append((x, y))
-        return out
-
-    def chains(self, max_len=None):
-        """All nonempty strictly increasing chains, ascending order."""
-        pts = self.points
-        out = []
-
-        def extend(chain):
-            out.append(tuple(chain))
-            if max_len is not None and len(chain) >= max_len:
-                return
-            last = chain[-1]
-            for y in pts:
-                if y != last and self.leq(last, y):
-                    chain.append(y)
-                    extend(chain)
-                    chain.pop()
-
-        for x in pts:
-            extend([x])
-        return sorted(out, key=lambda c: (len(c), tuple(vkey(v) for v in c)))
-
-
 # ---------------------------------------------------------------------------
 # canned spaces
 
@@ -299,13 +243,10 @@ def pseudocircle():
 
 
 def disjoint_union(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
-    pa = [("l", p) for p in a.points]
-    pb = [("r", p) for p in b.points]
-    opens = []
-    for oa in a.opens:
-        for ob in b.opens:
-            opens.append({("l", p) for p in oa} | {("r", p) for p in ob})
-    return FiniteSpace(tuple(pa + pb), opens)
+    """Points ("l", p) of a and ("r", q) of b, with U_x tagged alike."""
+    return FiniteSpace({(tag, p): {(tag, q) for q in U}
+                        for tag, s in (("l", a), ("r", b))
+                        for p, U in s.minimal_opens().items()})
 
 
 def random_space(n, density, seed) -> FiniteSpace:

@@ -526,7 +526,7 @@ def sheaf_cohomology_nerve(F: Presheaf, max_degree) -> list:
     """
     sp = F.space
     chains = [[] for _ in range(max_degree + 2)]
-    for c in sp.poset().chains(max_len=max_degree + 2):
+    for c in sp.chains(max_len=max_degree + 2):
         chains[len(c) - 1].append(c)
     groups = [direct_sum([F.stalk(c[0]) for c in ch]) for ch in chains]
     diffs = [_nerve_differential(F, chains[n], chains[n + 1])

@@ -273,16 +273,6 @@ class OrderedSimplicialComplex:
         # check d o d = 0 on every family of complexes the library builds
         return FinChainComplex(ranks, boundaries, check=False)
 
-    def chain_to_vector(self, chain, d):
-        keys = self.basis(d)
-        index = {k: i for i, k in enumerate(keys)}
-        vec = [0] * len(keys)
-        for k, c in chain.items():
-            if len(k) != d + 1:
-                raise SimplicialError("chain is not homogeneous")
-            vec[index[frozenset(k)]] = c
-        return tuple(vec)
-
     # -- construction helpers -------------------------------------------------
 
     def subcomplex(self, keys):
@@ -302,10 +292,6 @@ class OrderedSimplicialComplex:
                 for i in range(len(order)):
                     stack.append(frozenset(order[:i] + order[i + 1:]))
         return OrderedSimplicialComplex(faces, check=False)
-
-    def restrict_vertices(self, predicate):
-        return self.subcomplex(
-            [k for k in self.faces if all(predicate(v) for v in k)])
 
     def relabel(self, fn):
         faces = {}

@@ -1,4 +1,6 @@
 import itertools
+import random
+from importlib.resources import files
 
 import pytest
 
@@ -116,7 +118,7 @@ class TestOrderComplex:
     def test_face_count_is_chain_count(self):
         for X in (example03_space(), pseudocircle(), random_space(6, 0.4, 3)):
             K = X.order_complex()
-            chains = X.poset().chains()
+            chains = X.chains()
             assert len(K.faces) == len(chains)
             # Euler characteristic from alternating chain counts
             by_len = {}
@@ -259,3 +261,135 @@ class TestFileFormat:
             parse_space("1 (\n1\n")
         with pytest.raises(FiniteSpaceError, match="line 2: cannot parse"):
             parse_space("1 2\n1,(\n")
+
+
+# ---------------------------------------------------------------------------
+# reference: the open lattice as the pairwise union/intersection closure of
+# a subbasis, and every derived query read off that lattice directly
+
+def closure_opens(points, basis):
+    pset = frozenset(points)
+    family = {frozenset(), pset} | {frozenset(b) for b in basis}
+    changed = True
+    while changed:
+        changed = False
+        items = list(family)
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                for new in (items[i] | items[j], items[i] & items[j]):
+                    if new not in family:
+                        family.add(new)
+                        changed = True
+    return frozenset(family)
+
+
+def closure_minimal_opens(points, opens):
+    return {x: frozenset.intersection(*(o for o in opens if x in o))
+            for x in points}
+
+
+def brute_chains(points, mins):
+    """Every subset totally ordered by inclusion of minimal opens."""
+    out = []
+    for r in range(1, len(points) + 1):
+        for subset in itertools.combinations(points, r):
+            chain = sorted(subset, key=lambda x: len(mins[x]))
+            if all(mins[a] < mins[b] for a, b in zip(chain, chain[1:])):
+                out.append(tuple(chain))
+    return sorted(out, key=lambda c: (len(c), tuple(vkey(v) for v in c)))
+
+
+def check_against_closure(points, basis):
+    """Build from_basis(points, basis); compare it with the closure.
+
+    Returns the space, or None when the closure is not T0 (after checking
+    that the constructor names the same indistinguishable pairs).
+    """
+    opens = closure_opens(points, basis)
+    mins = closure_minimal_opens(points, opens)
+    pts = sorted(points, key=vkey)
+    pairs = [(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]
+             if mins[x] == mins[y]]
+    if pairs:
+        with pytest.raises(NotT0Error) as exc:
+            FiniteSpace.from_basis(points, basis)
+        assert exc.value.pairs == pairs
+        return None
+    X = FiniteSpace.from_basis(points, basis)
+    assert X.points == tuple(pts)
+    assert X.opens == opens
+    assert X.opens_sorted() == written_out_order(opens)
+    assert X.minimal_opens() == mins
+    assert tuple(X.minimal_opens()) == X.points
+    for r in range(len(pts) + 1):
+        for s in itertools.combinations(pts, r):
+            assert X.is_open(s) == (frozenset(s) in opens)
+    chains = brute_chains(pts, mins)
+    assert X.chains() == chains
+    assert X.chains(max_len=2) == [c for c in chains if len(c) <= 2]
+    return X
+
+
+def random_subbasis(seed):
+    """Arbitrary subsets of up to 7 points; many generate no T0 space."""
+    rng = random.Random(seed)
+    points = tuple(range(rng.randint(1, 7)))
+    basis = [{p for p in points if rng.random() < 0.4}
+             for _ in range(rng.randint(0, 2 * len(points)))]
+    return points, basis
+
+
+def example03_subbasis():
+    first, *rows = files("nestrix").joinpath("data/example03.space") \
+        .read_text().splitlines()
+    return (tuple(int(p) for p in first.split()),
+            [{int(p) for p in row.split(",")} for row in rows])
+
+
+STOCK = [
+    (sierpinski_space, ((0, 1), [{0}])),
+    (pseudocircle, (("x", "y", "c", "d"),
+                    [{"x"}, {"y"}, {"x", "y", "c"}, {"x", "y", "d"}])),
+    (lambda: discrete_space(3), ((0, 1, 2), [{0}, {1}, {2}])),
+    (example03_space, example03_subbasis()),
+]
+
+
+def tagged_unions(a, b):
+    return {frozenset({("l", p) for p in oa} | {("r", p) for p in ob})
+            for oa in a.opens for ob in b.opens}
+
+
+class TestMinimalOpenRepresentation:
+    def test_random_subbases_match_closure(self):
+        spaces = [check_against_closure(*random_subbasis(seed))
+                  for seed in range(150)]
+        built = [X for X in spaces if X is not None]
+        # both branches are exercised
+        assert 20 <= len(built) <= 130
+        for a, b in zip(built, built[1:]):
+            assert disjoint_union(a, b).opens == tagged_unions(a, b)
+
+    @pytest.mark.parametrize("make, subbasis", STOCK)
+    def test_stock_spaces_match_closure(self, make, subbasis):
+        X = check_against_closure(*subbasis)
+        stock = make()
+        assert stock.points == X.points and stock.opens == X.opens
+        assert stock.minimal_opens() == X.minimal_opens()
+        for _, other in STOCK:
+            Y = check_against_closure(*other)
+            assert disjoint_union(stock, Y).opens == tagged_unions(stock, Y)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_space_matches_closure_of_its_minimal_opens(self, seed):
+        X = random_space(7, 0.4, seed)
+        Y = check_against_closure(X.points, X.minimal_opens().values())
+        assert X.opens == Y.opens
+
+    def test_inconsistent_minimal_opens_rejected(self):
+        with pytest.raises(FiniteSpaceError):
+            FiniteSpace({0: {0}, 1: {0}})            # 1 not in U_1
+        with pytest.raises(FiniteSpaceError):
+            FiniteSpace({0: {0, 1}, 1: {1, 2}, 2: {2}})  # U_1 not in U_0
+        with pytest.raises(FiniteSpaceError):
+            FiniteSpace({0: {0, 7}})                 # escapes the points

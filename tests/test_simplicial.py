@@ -40,6 +40,21 @@ def delta(k):
     return OrderedSimplicialComplex.standard_simplex(k)
 
 
+def restrict_vertices(K, predicate):
+    """Subcomplex of the faces whose vertices all satisfy ``predicate``."""
+    return K.subcomplex([k for k in K.faces if all(predicate(v) for v in k)])
+
+
+def chain_to_vector(K, chain, d):
+    """Coordinates of a d-chain in the basis ``K.basis(d)``."""
+    index = {k: i for i, k in enumerate(K.basis(d))}
+    vec = [0] * len(index)
+    for k, c in chain.items():
+        assert len(k) == d + 1, "chain is not homogeneous"
+        vec[index[frozenset(k)]] = c
+    return tuple(vec)
+
+
 def enumerate_flags(K, key):
     """Oracle: full flags of the face poset under `key` (count of S-facets)."""
     order = K.order(key)
@@ -87,8 +102,8 @@ class TestComplexBasics:
                 assert C.rank(d) == K.n_faces(d) == len(K.faces_of_dim(d))
             for d in range(1, K.dim() + 1):
                 for j, key in enumerate(K.basis(d)):
-                    assert C.boundary(d).col(j) == K.chain_to_vector(
-                        K.boundary_of_face(key), d - 1)
+                    assert C.boundary(d).col(j) == chain_to_vector(
+                        K, K.boundary_of_face(key), d - 1)
 
     def test_facets(self):
         K = OrderedSimplicialComplex.from_facets([(0, 1, 2), (2, 3)])
@@ -120,7 +135,8 @@ class TestSubdivision:
         for key in K.faces:
             face_cx = K.subcomplex([key])
             sub_face = subdivide(face_cx)
-            restricted = res.complex.restrict_vertices(
+            restricted = restrict_vertices(
+                res.complex,
                 lambda v, key=key: _carrier_vertices(v) <= set(key))
             assert restricted == sub_face.complex
 
@@ -196,7 +212,7 @@ class TestPrismP:
         K = delta(2)
         PK, _ = prism_complex(K)
         for level in (0, 1):
-            assert PK.restrict_vertices(lambda v: v[1] == level) == \
+            assert restrict_vertices(PK, lambda v: v[1] == level) == \
                 product_at_level(K, level)
 
 
@@ -217,9 +233,9 @@ class TestPrismT:
     def test_restrictions(self):
         K = delta(1)
         TK, _, sub = t_complex(K)
-        assert TK.restrict_vertices(lambda v: v[1] == 0) == \
+        assert restrict_vertices(TK, lambda v: v[1] == 0) == \
             product_at_level(sub.complex, 0)
-        assert TK.restrict_vertices(lambda v: v[1] == 1) == \
+        assert restrict_vertices(TK, lambda v: v[1] == 1) == \
             product_at_level(K, 1)
 
     def test_t2_restriction_over_endpoint(self):
@@ -227,8 +243,8 @@ class TestPrismT:
         T2K, _, _ = t_n_complex(K, 2)
         point = delta(0)
         T2pt, _, _ = t_n_complex(point, 2)
-        restricted = T2K.restrict_vertices(
-            lambda v: _carrier_vertices(v[0]) <= {0})
+        restricted = restrict_vertices(
+            T2K, lambda v: _carrier_vertices(v[0]) <= {0})
         assert restricted == T2pt
 
     @pytest.mark.parametrize("k, n", [(1, 2), (1, 4), (2, 2), (2, 3),
