@@ -28,11 +28,13 @@ subcomplex (L), subdivides L n times and stacks the n-step prism T_n on
 is built once, and T_n is stacked once onto S^n(L), which
 ``cylinder_covering`` takes from its search on L.  The search's rule covers
 the whole cylinder: every face, the top copy of T_n included, takes the
-hull of its own points and is pinned at its own barycenter.
-The seam is shared by name: ``simplicial`` names a one-level face's
-barycenter by its level, so S^n(L) and T_n carry the same level-1 ids and
-are glued by a union.  Geometry is read from coordinates, never from
-vertex ids; only ``simplicial`` knows the id shapes.  The
+hull of its own points and is pinned at its own barycenter.  Every face of
+the glued complex lies in S^n(L) or in T_n with all its faces, so the
+search's validation and one of T_n's own complex decide the glued
+covering.  The seam is shared by name: ``simplicial`` names a one-level
+face's barycenter by its level, so S^n(L) and T_n carry the same level-1
+ids and are glued by a union.  Geometry is read from coordinates, never
+from vertex ids; only ``simplicial`` knows the id shapes.  The
 projection-plus-homotopy data whose identities drive the small-chain
 boundary constructions sit on top.
 """
@@ -115,16 +117,7 @@ class CoveringValidation:
         return self.failures[0] if self.failures else None
 
 
-def _settled_faces(covering: CompatibleCovering, checked: CompatibleCovering):
-    """Faces ``checked`` assigns the same (W, t) on the same vertex points."""
-    R, Rc = covering.realization, checked.realization
-    return {key for key, data in checked.assignments.items()
-            if covering.assignments.get(key) == data
-            and all(R.point(v) == Rc.point(v) for v in key)}
-
-
-def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
-                      checked: CompatibleCovering | None = None
+def validate_covering(covering: CompatibleCovering, eta: NestingOracle
                       ) -> CoveringValidation:
     """All covering conditions, exactly; undecided inclusions fail closed.
 
@@ -140,30 +133,20 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
     verdict for verdict.  The records are ``("chain-region", {"face",
     "coface", "verdict"})``.  Failures come out as condition i, then ii,
     then iii, each in face order of the larger face (``top``), then of the
-    smaller, whatever the hash seed.  One cache of membership and
-    inclusion verdicts (see ``regions.contains_point`` and
-    ``regions.region_contains``) lives for the length of the call, so
-    nothing outlives the validation.
-
-    ``checked`` is for a caller that extends a covering which already
-    passed this validation against the same ``eta`` object (the cylinder's
-    lower part).  A face it assigns the same (W, t) on the same vertex
-    points is settled: a face condition on it and a pair of such faces
-    each ask exactly the question that ``checked``'s validation answered
-    TRUE, so they are not asked again.  Everything that touches another
-    face is checked in full, in the same order, so the failures are those
-    of a full validation.
+    smaller, whatever the hash seed.  Face order is ``sorted_faces``'s one
+    global order and every pair lies inside ``top``, so a covering that is
+    the union of two face-closed parts fails exactly where its parts do,
+    in the same order.  One cache of membership and inclusion verdicts
+    (see ``regions.contains_point`` and ``regions.region_contains``) lives
+    for the length of the call, so nothing outlives the validation.
     """
     failures, nested, chained = [], [], []
     cache = {}
-    settled = set() if checked is None else _settled_faces(covering, checked)
     cx = covering.complex
     R = covering.realization
     assigned = covering.assignments
     faces = sorted_faces(assigned)
     for key in faces:
-        if key in settled:
-            continue
         W, t = assigned[key]
         order = cx.order(key)
         pts = [R.point(v) for v in order]
@@ -179,15 +162,12 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
     for top in faces:
         order = cx.order(top)
         W_top, t_top = assigned[top]
-        # top's assigned faces, top included, in face order, less those
-        # settled along with top
+        # top's assigned faces, top included, in face order
         subfaces = sorted(
             (k for size in range(1, len(order) + 1)
              for k in map(frozenset, combinations(order, size))
-             if k in assigned and not (top in settled and k in settled)),
+             if k in assigned),
             key=position.__getitem__)
-        if not subfaces:
-            continue
         region = eta.region((t_top,))
         for key in subfaces:
             W = assigned[key][0]
@@ -213,8 +193,6 @@ def validate_covering(covering: CompatibleCovering, eta: NestingOracle,
 class CoveringSearchResult:
     n: int
     covering: CompatibleCovering
-    complex: OrderedSimplicialComplex
-    realization: Realization
     subdivision_results: list
     chain_map: SimplicialChainMap
 
@@ -252,7 +230,7 @@ def find_covering(K: OrderedSimplicialComplex, R: Realization,
         cand = _candidate_covering(cx, real)
         report = validate_covering(cand, eta)
         if report.passed:
-            return CoveringSearchResult(n, cand, cx, real, subs, chain_map)
+            return CoveringSearchResult(n, cand, subs, chain_map)
         attempts.append((n, report.first()))
     mesh = mesh_sq(K, R)
     raise CoveringError(
@@ -286,7 +264,7 @@ class MappingCylinder:
     q_eta: NestingOracle
     sub_chain_map: SimplicialChainMap          # S^n on L
     prism_homotopy: dict                       # P values on accepted faces
-    tn_homotopy: dict                          # T_n values
+    tn: SimplicialChainMap | None              # T_n, onto its own complex
     level0: dict                               # face of simplex -> face of L
 
 
@@ -320,7 +298,7 @@ def _lower_cylinder(k, eta: NestingOracle) -> MappingCylinder:
         n=0, base_complex=base, base_realization=base_real,
         accepted=accepted, L=L, L_realization=L_real, Ln=L,
         Ln_realization=L_real, q=q, q_eta=q_eta, sub_chain_map=None,
-        prism_homotopy=prism_values, tn_homotopy={}, level0=level0)
+        prism_homotopy=prism_values, tn=None, level0=level0)
 
 
 def _stacked(lower: MappingCylinder, n, Sn, Sn_real, chain_map
@@ -347,7 +325,7 @@ def _stacked(lower: MappingCylinder, n, Sn, Sn_real, chain_map
     coords = {**Sn_real.coords,
               **realize_vertices(TnK, cyl.base_realization.coords)}
     return replace(cyl, Ln=Sn.union(TnK), Ln_realization=Realization(coords),
-                   tn_homotopy=Tn.values)
+                   tn=Tn)
 
 
 def mapping_cylinder(k, eta: NestingOracle, n) -> MappingCylinder:
@@ -368,28 +346,31 @@ def cylinder_covering(k, eta: NestingOracle, n_cap=6):
     The cylinder below level 1 is built once, and T_n is stacked onto the
     search's own subdivision, so L is subdivided once and T_n built once.
     Faces below the seam and on it keep the search's data; each face of
-    T_n above the seam gets the same rule, so the top copy is pinned at
-    barycenters.
+    T_n gets the same rule, so the top copy is pinned at barycenters.
 
-    The exact validator decides whether the union is a compatible
-    covering.  The search has validated the lower covering in full against
-    ``cyl.q_eta``, so the union is validated against that same oracle
-    object with the lower covering as already checked: only the faces,
-    nested pairs and chains that touch T_n above the seam are tested
-    again, which gives the verdict and failures of a full validation.
+    The exact validator decides the glued covering in two parts.  Every
+    face of S^n(L) has its faces in S^n(L), which the search validated in
+    full against ``cyl.q_eta``; every face of T_n has its faces in T_n's
+    own complex, validated here against that same oracle object.  The
+    seam passed in the search and faces are reported in one global order,
+    so T_n's failures are those of a full validation.
     """
     check_depth(n_cap, "subdivision cap n_cap", CoveringError)
     lower = _lower_cylinder(k, eta)
     res = find_covering(lower.L, lower.L_realization, lower.q_eta,
                         n_cap=n_cap)
-    cyl = _stacked(lower, res.n, res.complex, res.realization, res.chain_map)
-    Rn = cyl.Ln_realization
-    searched = res.covering.assignments
-    upper = _pinned(cyl.Ln, Rn, cyl.Ln.faces.keys() - searched.keys())
-    glued = CompatibleCovering(cyl.Ln, Rn, {**searched, **upper})
-    report = validate_covering(glued, cyl.q_eta, checked=res.covering)
-    if not report.passed:
-        raise CoveringError(f"cylinder covering invalid: {report.first()!r}")
+    searched = res.covering
+    cyl = _stacked(lower, res.n, searched.complex, searched.realization,
+                   res.chain_map)
+    assignments = searched.assignments
+    if cyl.tn is not None:
+        upper = _candidate_covering(cyl.tn.target, cyl.Ln_realization)
+        report = validate_covering(upper, cyl.q_eta)
+        if not report.passed:
+            raise CoveringError(
+                f"cylinder covering invalid: {report.first()!r}")
+        assignments = {**upper.assignments, **assignments}
+    glued = CompatibleCovering(cyl.Ln, cyl.Ln_realization, assignments)
     return res.n, glued, cyl
 
 
@@ -404,7 +385,6 @@ class ProjectionData:
     cyl: MappingCylinder
     covering: CompatibleCovering
     pi: dict        # face of the simplex -> FormalChain (small chains)
-    h0: dict        # accepted face -> FormalChain homotopy
     h: dict         # all faces -> FormalChain (after the extension)
 
 
@@ -413,7 +393,7 @@ def _cylinder_homotopy(cyl: MappingCylinder, key):
     homotopy dh + hd = i_2 - S^n i_0 in the cylinder, before the
     projection q flattens it."""
     snp = cyl.sub_chain_map.apply(cyl.prism_homotopy[key])
-    return add_into(snp, cyl.tn_homotopy[key], -1)
+    return add_into(snp, cyl.tn.values[key], -1)
 
 
 def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
@@ -423,8 +403,8 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
     deformation is the identity: pi sends a face through n-fold
     subdivision, then projects the cylinder away, each face of S^n going
     to the affine simplex on the q-images of its points; it is the
-    identity on 0-simplices.  h0 is the explicit prism homotopy between
-    the embedding of the accepted subcomplex and pi; h extends it to every
+    identity on 0-simplices.  h is the explicit prism homotopy between
+    the embedding of the accepted subcomplex and pi, extended to every
     face by deterministic cone fillers.
     """
     n, covering, cyl = cylinder_covering(k, eta, n_cap)
@@ -442,11 +422,10 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
         sub_chain = cyl.sub_chain_map.values[lv]
         pi[key] = delta_prime_chain(sub_chain)
 
-    h0 = {key: delta_prime_chain(_cylinder_homotopy(cyl, key))
-          for key in cyl.accepted.faces}
+    h = {key: delta_prime_chain(_cylinder_homotopy(cyl, key))
+         for key in cyl.accepted.faces}
 
     # extension over the remaining faces by cone fillers
-    h = dict(h0)
     apex = cyl.base_realization.point(0)
     for key in cyl.base_complex.all_faces():
         if key in h:
@@ -462,7 +441,7 @@ def small_chain_projection(k, eta: NestingOracle, n_cap=6) -> ProjectionData:
         h[key] = FormalChain.image(
             target, lambda s: AffineSimplex((apex,) + s.points))
     return ProjectionData(k=k, eta=eta, n=n, cyl=cyl, covering=covering,
-                          pi=pi, h0=h0, h=h)
+                          pi=pi, h=h)
 
 
 def boundary_in_small_chains(points, eta: NestingOracle, n_cap=6):

@@ -22,6 +22,7 @@ with the image of every earlier level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -197,6 +198,7 @@ def constant_sheaf(space, coeff) -> Presheaf:
     """Locally constant functions: F(U) = A^{#components(U)}."""
     base = coefficient_presentation(coeff)
 
+    @functools.cache
     def comps(U):
         return space.components(U) if U else []
 

@@ -4,8 +4,8 @@ map, dh + hd = id - pi on every face, pi lands in small chains, h sends
 each accepted face to a small chain, and the boundary construction returns
 a small x with dx = d(sigma).  S^n P - T_n is checked as a homotopy in the
 cylinder itself, before the projection q flattens it.  The cylinder's
-glued covering, validated only where it touches the n-step prism, gets the
-verdict and failures of a full validation."""
+glued covering, validated as the search's part and the n-step prism's own
+complex, gets the verdict and failures of a full validation."""
 
 import collections
 import dataclasses
@@ -99,13 +99,13 @@ def chart(points):
 
 
 def spy_validations(monkeypatch):
-    """The (covering, eta, checked) of every later covering validation."""
+    """The (covering, eta) of every later covering validation."""
     validations = []
     validate = covering.validate_covering
 
-    def spy_validate(cov, eta, checked=None):
-        validations.append((cov, eta, checked))
-        return validate(cov, eta, checked=checked)
+    def spy_validate(cov, eta):
+        validations.append((cov, eta))
+        return validate(cov, eta)
 
     monkeypatch.setattr(covering, "validate_covering", spy_validate)
     return validations
@@ -113,8 +113,8 @@ def spy_validations(monkeypatch):
 
 def projection_run(monkeypatch, k, sq_radius, n_cap=3):
     """(data, eta, validations) of small_chain_projection(k, ball nesting,
-    n_cap), where validations lists the (covering, eta, checked) of every
-    covering validation the run made.
+    n_cap), where validations lists the (covering, eta) of every covering
+    validation the run made.
 
     k = "segment" takes the projection that boundary_in_small_chains makes
     for SEGMENT, with its pulled-back nesting, and checks the x it returns;
@@ -170,12 +170,16 @@ def assert_projection_run(data, eta, validations, sizes, depth):
     assert data.n == depth
     assert accepted_sizes(data.cyl) == sizes
     assert_projection_identities(data, eta)
-    # every candidate the search tried and the glued cylinder covering,
-    # validated against its checked lower part, agree with the reference
+    # every candidate the search tried and T_n's covering agree with the
+    # reference
     for call in validations:
         assert_walk_equals_reference(*call)
-    glued, _, lower = validations[-1]
-    assert glued is data.covering and lower is not None
+    # the last validation is T_n's own complex, and the glued covering is
+    # the search's accepted candidate plus that covering
+    (lower, _), (upper, _) = validations[-2:]
+    assert upper.complex is data.cyl.tn.target
+    glued = data.covering
+    assert glued.assignments == {**upper.assignments, **lower.assignments}
     # the search covers levels 0..1 only; every face above the seam, the
     # top copy included, has its own hull and is pinned at its barycenter
     R = glued.realization
@@ -307,7 +311,7 @@ def test_search_subdivides_once_per_depth(monkeypatch):
     subs, chain_map = simplicial.iterate_subdivide(K, 2)
     assert [s.complex for s in res.subdivision_results] == \
         [s.complex for s in subs]
-    assert res.complex == subs[-1].complex
+    assert res.covering.complex == subs[-1].complex
     assert res.chain_map.values == chain_map.values
 
 
@@ -403,31 +407,50 @@ def test_cylinder_built_once_at_depth(monkeypatch, k, sq_radius, depth):
 
 
 def glued_validations(monkeypatch, run):
-    """Every validation made with an already-checked lower covering, with
-    its report, while ``run`` executes."""
+    """(search, upper, error) of the one cylinder covering ``run`` makes:
+    the search's last validation and T_n's, each as (covering, eta,
+    report), and the ``CoveringError`` the run raised, or None."""
     calls = []
     validate = covering.validate_covering
 
-    def spy(cov, eta, checked=None):
-        report = validate(cov, eta, checked=checked)
-        if checked is not None:
-            calls.append((cov, eta, checked, report))
+    def spy(cov, eta):
+        report = validate(cov, eta)
+        calls.append((cov, eta, report))
         return report
 
     monkeypatch.setattr(covering, "validate_covering", spy)
-    run()
+    error = None
+    try:
+        run()
+    except CoveringError as e:
+        error = e
     monkeypatch.undo()
-    return calls
+    return calls[-2], calls[-1], error
 
 
 def assert_same_report(got, want):
     assert (got.passed, got.failures) == (want.passed, want.failures)
 
 
+# the one glued failure: the search accepts L at n = 1, and a T_1 face above
+# the seam does not lie in the ball at its own barycenter
+GLUED_FAILURE = (
+    "cylinder covering invalid: ('chain-region', {'face': ((('b', (0, 1)), "
+    "Fraction(1, 1)),), 'coface': ((('b', (0, 1)), Fraction(1, 1)), "
+    "(1, Fraction(1, 1)), (1, Fraction(2, 1))), 'verdict': 'false'})")
+GLUED_FAILURE_POINTS = ((Fraction(3, 2), Fraction(-1, 2)),
+                        (Fraction(1, 4), Fraction(-1, 4)),
+                        (Fraction(3, 4), Fraction(-3, 4)))
+
+
 def glued_case(k, sq_radius):
     if k == "triangle":
         return lambda: boundary_in_small_chains(
             TRIANGLE, ball_nesting(2, Fraction(1)), n_cap=3)
+    if k == "punctured":
+        eta = pullback(chart(GLUED_FAILURE_POINTS), cover_generated(
+            PLRealm(2), PuncturedBallRule(PUNCTURE, sq_radius)))
+        return lambda: cylinder_covering(2, eta, n_cap=2)
     return lambda: cylinder_covering(k, ball_nesting(k + 1, sq_radius),
                                      n_cap=3)
 
@@ -435,27 +458,38 @@ def glued_case(k, sq_radius):
 @pytest.mark.parametrize("k, sq_radius", [
     (k, r) for k in (1, 2)
     for r in (Fraction(2), Fraction(1, 2), Fraction(1, 4))
-] + [("triangle", Fraction(1))], ids=str)
+] + [("triangle", Fraction(1)), ("punctured", Fraction(1, 2))], ids=str)
 def test_glued_validation_equals_full_validation(monkeypatch, k, sq_radius):
-    ((glued, eta, lower, report),) = glued_validations(
-        monkeypatch, glued_case(k, sq_radius))
-    assert report.passed
+    """The search passes, every seam face has the same (W, t) in the
+    search's covering and T_n's, and T_n's report equals a full
+    validation of the glued covering, also with a bad upper face."""
+    (lower, eta, searched), (upper, upper_eta, report), error = \
+        glued_validations(monkeypatch, glued_case(k, sq_radius))
+    assert searched.passed and upper_eta is eta
+    seam = lower.assignments.keys() & upper.assignments.keys()
+    assert seam and all(lower.assignments[key] == upper.assignments[key]
+                        for key in seam)
+    glued = covering._candidate_covering(
+        lower.complex.union(upper.complex), upper.realization)
+    assert glued.assignments == {**upper.assignments, **lower.assignments}
     assert_same_report(report, validate_covering(glued, eta))
+    if k == "punctured":
+        assert not report.passed and str(error) == GLUED_FAILURE
+    else:
+        assert report.passed and error is None
     # a bad covering set on one upper face is still reported
-    upper = simplicial.sorted_faces(
-        set(glued.assignments) - set(lower.assignments))
-    face = upper[-1]
-    W, t = glued.assignments[face]
+    face = simplicial.sorted_faces(upper.assignments.keys() - seam)[-1]
+    W, t = upper.assignments[face]
     far = Polytope((tuple(Fraction(9) for _ in t),))
-    bad = CompatibleCovering(glued.complex, glued.realization,
-                             {**glued.assignments, face: (far, t)})
-    incremental = validate_covering(bad, eta, checked=lower)
-    assert not incremental.passed
+    bad_upper, bad = (CompatibleCovering(cov.complex, cov.realization,
+                                         {**cov.assignments, face: (far, t)})
+                      for cov in (upper, glued))
+    split = validate_covering(bad_upper, eta)
     assert ("target-in-set", {"face": bad.complex.order(face)}) in \
-        incremental.failures
-    assert_same_report(incremental, validate_covering(bad, eta))
-    assert_walk_equals_reference(glued, eta, lower)
-    assert_walk_equals_reference(bad, eta, lower)
+        split.failures
+    assert_same_report(split, validate_covering(bad, eta))
+    assert_walk_equals_reference(upper, eta)
+    assert_walk_equals_reference(bad_upper, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +513,15 @@ def reference_chains(faces):
     return chains
 
 
-def reference_walk(cov, eta, checked=None):
+def reference_walk(cov, eta):
     """(failures, verdicts): the multiset of (kind, payload repr) failures of
     conditions i and ii, tested on every pair of nested assigned faces,
     and the condition-iii verdict of every chain of ``reference_chains``
     that a validation asks, by chain of face keys."""
     cx, R = cov.complex, cov.realization
-    settled = set() if checked is None else \
-        covering._settled_faces(cov, checked)
     faces = set(cov.assignments)
     out, cache = [], {}
-    for key in faces - settled:
+    for key in faces:
         W, t = cov.assignments[key]
         order = cx.order(key)
         pts = [R.point(v) for v in order]
@@ -502,7 +534,7 @@ def reference_walk(cov, eta, checked=None):
             out.append(("face-in-set", {"face": order, "verdict": res.value}))
     for a in faces:
         for b in faces:
-            if b < a and not (a in settled and b in settled):
+            if b < a:
                 res = regions.region_contains(cov.W(a), cov.W(b), cache)
                 if res is not regions.Tri.TRUE:
                     out.append(("nested-sets", {
@@ -510,10 +542,9 @@ def reference_walk(cov, eta, checked=None):
                         "verdict": res.value}))
     verdicts = {}
     for chain in reference_chains(faces):
-        if not settled.issuperset(chain):
-            region = eta.region([cov.t(k) for k in chain])
-            verdicts[chain] = regions.region_contains(
-                region, cov.W(chain[0]), cache)
+        region = eta.region([cov.t(k) for k in chain])
+        verdicts[chain] = regions.region_contains(
+            region, cov.W(chain[0]), cache)
     return collections.Counter((kind, repr(p)) for kind, p in out), verdicts
 
 
@@ -544,13 +575,13 @@ def assert_pairs_match_chains(pairs, verdicts):
     assert got == want
 
 
-def assert_walk_equals_reference(cov, eta, checked=None):
+def assert_walk_equals_reference(cov, eta):
     """The validation's verdict and failures equal the reference walk's,
     and its failures come out as conditions i, ii, iii, each in face order
     of the larger face, then of the smaller.  The condition-iii records
     are face-coface pairs, read against the reference's chain verdicts."""
-    report = validate_covering(cov, eta, checked=checked)
-    want, verdicts = reference_walk(cov, eta, checked)
+    report = validate_covering(cov, eta)
+    want, verdicts = reference_walk(cov, eta)
     failing = {c: v for c, v in verdicts.items() if v is not regions.Tri.TRUE}
     assert report.passed == (not want and not failing)
     assert collections.Counter(
@@ -598,12 +629,9 @@ def test_validation_equals_reference_walk_on_planted_failures():
     eta, valid, nested, moved = planted_coverings()
     assert assert_walk_equals_reference(valid, eta).passed
     for bad, kind in ((nested, "nested-sets"), (moved, "chain-region")):
-        for checked in (None, valid, bad):
-            report = assert_walk_equals_reference(bad, eta, checked)
-            # checked against itself, every face is settled
-            assert report.passed == (checked is bad)
-            assert (kind in {f for f, _ in report.failures}) == \
-                (checked is not bad)
+        report = assert_walk_equals_reference(bad, eta)
+        assert not report.passed
+        assert kind in {f for f, _ in report.failures}
 
 
 PUNCTURE = (Fraction(0), Fraction(0))

@@ -294,9 +294,9 @@ def test_validation_failures_do_not_depend_on_the_memo(monkeypatch, k,
     calls = []
     validate = covering.validate_covering
 
-    def spy(cov, eta, checked=None):
-        report = validate(cov, eta, checked=checked)
-        calls.append((cov, eta, checked, report))
+    def spy(cov, eta):
+        report = validate(cov, eta)
+        calls.append((cov, eta, report))
         return report
 
     monkeypatch.setattr(covering, "validate_covering", spy)
@@ -319,22 +319,22 @@ def test_validation_failures_do_not_depend_on_the_memo(monkeypatch, k,
 
     monkeypatch.setattr(regions, "_inclusion", counted)
     memo_rules = []
-    for cov, eta, checked, report in calls:
+    for cov, eta, report in calls:
         rules.clear()
-        again = validate_covering(cov, eta, checked=checked)
+        again = validate_covering(cov, eta)
         assert (again.passed, again.failures) == \
             (report.passed, report.failures)
         memo_rules.append(len(rules))
     monkeypatch.setattr(regions, "region_contains", unmemoized)
     monkeypatch.setattr(covering, "region_contains", unmemoized)
     plain_rules = []
-    for cov, eta, checked, report in calls:
+    for cov, eta, report in calls:
         rules.clear()
-        plain = validate_covering(cov, eta, checked=checked)
+        plain = validate_covering(cov, eta)
         assert (plain.passed, plain.failures) == \
             (report.passed, report.failures)
         plain_rules.append(len(rules))
-    assert calls[-1][3].passed
+    assert calls[-1][2].passed
     assert sum(memo_rules) < sum(plain_rules)
     if sq_radius < 1:                  # these searches fail at depth 0
         assert any(not report.passed for *_, report in calls)
