@@ -498,16 +498,11 @@ def _back_substitute(snf: SmithDecomposition, B: IntMatrix):
     return snf.V * IntMatrix(n, B.cols, Y)
 
 
-def solve_exact(A: IntMatrix, b, snf: SmithDecomposition | None = None):
-    """Solve A x = b over Z.  Returns a tuple x, or None with no solution.
-
-    With ``snf`` supplied the decomposition is reused across calls.
-    """
-    if snf is None:
-        snf = smith_normal_form(A)
+def solve_exact(A: IntMatrix, b):
+    """Solve A x = b over Z.  Returns a tuple x, or None with no solution."""
     if len(b) != A.rows:
         raise ExactAlgebraError("rhs length mismatch")
-    x = _back_substitute(snf, IntMatrix(len(b), 1, b))
+    x = _back_substitute(smith_normal_form(A), IntMatrix(len(b), 1, b))
     return None if isinstance(x, NotABoundary) else x.col(0)
 
 
@@ -822,9 +817,8 @@ def hom_kernel(A: IntMatrix, src: Presentation, dst: Presentation):
     Returns (kernel presentation, inclusion matrix K) where K's columns are
     lattice representatives in Z^src.rank of the kernel generators.
     """
-    dst_rel = image_basis(dst.relations) if dst.relations.cols \
-        else dst.relations
-    M = preimage_lattice(A, dst_rel) if dst_rel.cols else kernel_basis(A)
+    M = preimage_lattice(A, dst.relations) if dst.relations.cols \
+        else kernel_basis(A)
     # src relations always land in M (well-definedness), so quotient by them
     return Presentation(M.cols, lattice_coordinates(M, src.relations)), M
 

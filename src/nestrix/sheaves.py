@@ -5,19 +5,21 @@ all quotients, kernels and comparisons go through Smith normal form, so
 every answer is exact, torsion included.
 
 The minimal open U_x attains the germ colimit on a finite space, so the
-stalk at x is F(U_x) and sheafification is the group of compatible
-minimal-open stalk families.  Three independent sheaf-cohomology pipelines
-are provided (specialization-chain complex, Godement envelopes, Cech on a
-cover) plus the comparison against the order complex's simplicial
-cohomology.
+stalk at x is F(U_x), and sheafification is the group of compatible
+minimal-open stalk families.  A presheaf and its sheafification agree on
+every minimal open.  Three independent sheaf-cohomology pipelines are
+provided, plus the comparison against the order complex's simplicial
+cohomology:
 
-The Godement pipeline carries its envelopes' stalks and its cokernels as
-pruned presentations (``Presentation.pruned``): the relations' Smith form
-gives an isomorphic group with no relation of invariant factor 1, and
-restrictions are conjugated by the pruning isomorphisms.  Isomorphic
-groups and conjugated maps leave every cohomology group unchanged, while
-the matrices stay the size of the groups they present instead of growing
-with the image of every earlier level.
+* the specialization-chain complex of stalks;
+* Godement's canonical flasque resolution.  It reads only stalks, so each
+  level takes the envelope of the plain presheaf cokernel, with no
+  sheafification, and prunes each envelope stalk once
+  (``Presentation.pruned``): the groups carry no relation of invariant
+  factor 1;
+* the alternating Cech complex of an open cover.
+
+The chain and Cech complexes are built by one alternating-cochain routine.
 """
 
 from __future__ import annotations
@@ -499,48 +501,54 @@ def _cochain_cohomology(groups, diffs) -> list:
             for n in range(len(diffs) - 1)]
 
 
-def _nerve_differential(F, chains_n, chains_n1):
-    """Alternating-sum differential on specialization-chain cochains."""
-    sp = F.space
-    index = {c: i for i, c in enumerate(chains_n)}
-    blocks = []
-    for r, e in enumerate(chains_n1):
-        for i in range(len(e)):
-            ci = index.get(e[:i] + e[i + 1:])
-            if ci is None:
-                continue
-            if i == 0:
-                block = F.restriction(sp.minimal_open(e[1]),
-                                      sp.minimal_open(e[0]))
-            else:
-                block = IntMatrix.identity(F.stalk(e[0]).rank)
-            blocks.append((r, ci, (-1) ** i, block))
-    return _block_matrix([F.stalk(e[0]).rank for e in chains_n1],
-                         [F.stalk(c[0]).rank for c in chains_n], blocks)
+def _alternating_cohomology(F: Presheaf, simplices, open_of) -> list:
+    """Cohomology of the alternating cochain complex of F over ``simplices``.
+
+    Degree p is the direct sum of F(open_of(s)) over ``simplices[p]``, a
+    list of tuples closed under dropping an entry.  Dropping entry i of t
+    enters d(t) with sign (-1)^i through F's restriction from
+    open_of(face) to open_of(t).
+    """
+    parts = [[F.group(open_of(s)) for s in simps] for simps in simplices]
+    diffs = []
+    for p in range(len(simplices) - 1):
+        index = {s: i for i, s in enumerate(simplices[p])}
+        blocks = []
+        for r, t in enumerate(simplices[p + 1]):
+            for i in range(len(t)):
+                face = t[:i] + t[i + 1:]
+                blocks.append((r, index[face], (-1) ** i,
+                               F.restriction(open_of(face), open_of(t))))
+        diffs.append(_block_matrix([g.rank for g in parts[p + 1]],
+                                   [g.rank for g in parts[p]], blocks))
+    return _cochain_cohomology([direct_sum(ps) for ps in parts], diffs)
 
 
 def sheaf_cohomology_nerve(F: Presheaf, max_degree) -> list:
     """Cohomology of the specialization-chain cochain complex of stalks.
 
-    Degree-0 cocycles are exactly the compatible stalk families, so H^0 is
-    the global-section group; agreement with the Godement and Cech methods
-    anchors the higher degrees.
+    A chain c carries the stalk F(U_{c[0]}); dropping an entry other than
+    c[0] keeps that open, so its block is the identity.  Degree-0 cocycles
+    are exactly the compatible stalk families, so H^0 is the global-section
+    group; agreement with the Godement and Cech methods anchors the higher
+    degrees.
     """
     sp = F.space
     chains = [[] for _ in range(max_degree + 2)]
     for c in sp.chains(max_len=max_degree + 2):
         chains[len(c) - 1].append(c)
-    groups = [direct_sum([F.stalk(c[0]) for c in ch]) for ch in chains]
-    diffs = [_nerve_differential(F, chains[n], chains[n + 1])
-             for n in range(max_degree + 1)]
-    return _cochain_cohomology(groups, diffs)
+    return _alternating_cohomology(F, chains,
+                                   lambda c: sp.minimal_open(c[0]))
 
 
 def godement_envelope(F: Presheaf):
-    """G(F)(U) = product of stalks over U, with the canonical unit.
+    """G(F)(U) = product of the stalks F(U_x) over x in U, with the unit.
 
-    Each stalk is carried pruned (``Presentation.pruned``), so G(F)(U)
-    has no relation with invariant factor 1 and the unit is the germ map
+    G(F)'s groups and restrictions read F only on minimal opens, where F
+    and its sheafification agree, so G(F) is also the envelope of F's
+    sheafification.  Each stalk
+    is pruned once (``Presentation.pruned``): G(F)(U) has no relation with
+    invariant factor 1, and the unit F(U) -> G(F)(U) is the germ map
     followed by each stalk's pruning isomorphism.
     """
     sp = F.space
@@ -574,43 +582,29 @@ def godement_envelope(F: Presheaf):
     return G, unit
 
 
-def _coker_presheaf(F: Presheaf, G: Presheaf, unit_matrix):
-    """Presheaf cokernel of a unit F -> G, pruned open by open.
+def _coker_presheaf(F: Presheaf, G: Presheaf, unit) -> Presheaf:
+    """Presheaf cokernel of a unit F -> G.
 
-    Q(U) = coker(F(U) -> G(U)) is carried as the pruned form of
-    G(U) / (unit columns + G's relations): one Smith form per open, and
-    no relation with invariant factor 1 survives.  The restriction is
-    G's, conjugated by the pruning isomorphisms,
-    to(V) * G.restriction(U, V) * from(U).  Returns the presheaf and
-    U -> to(U), the projection G(U) ->> Q(U) in pruned coordinates.
+    Q(U) = G(U) / (unit(U) columns + G(U)'s relations), in G(U)'s
+    coordinates, with G's restrictions.  Q is neither sheafified nor
+    pruned: the next envelope reads only its stalks, and prunes those.
     """
-    pruned = {}
-
-    def prune(U):
-        if U not in pruned:
-            pruned[U] = hom_cokernel(unit_matrix(U), F.group(U),
-                                     G.group(U)).pruned()
-        return pruned[U]
-
-    def res_fn(U, V):
-        return prune(V)[1] * G.restriction(U, V) * prune(U)[2]
-
-    Q = Presheaf(F.space, lambda U: prune(U)[0], res_fn,
-                 name=f"coker({F.name})")
-    return Q, lambda U: prune(frozenset(U))[1]
+    return Presheaf(F.space,
+                    lambda U: hom_cokernel(unit(U), F.group(U), G.group(U)),
+                    G.restriction, name=f"coker({F.name})")
 
 
 def sheaf_cohomology_godement(F: Presheaf, max_degree) -> list:
-    """Global sections of iterated stalk-product envelopes, then cohomology.
+    """Global sections of Godement's canonical flasque resolution.
 
-    Each level's cokernel Q_k = G_k / F_k is pruned (``_coker_presheaf``),
-    and so is every stalk of the envelope G_{k+1} of its sheafification
-    (``godement_envelope``): isomorphic groups and conjugated maps, so
-    every answer is that of the unpruned pipeline, while the matrices no
-    longer carry the unit relations that the images of F_k, F_{k-1}, ...
-    and the sheafification's kernel presentations would pile up level
-    after level.  d^k is G_k(X) ->> Q_k(X) -> QS_k(X) -> G_{k+1}(X), the
-    pruning projection, then the two units.
+    G_0 is the envelope of F, and G_{k+1} that of the presheaf cokernel
+    Q_k = G_k / F_k, where F_0 = F and F_{k+1} = Q_k.  The textbook
+    resolution takes the envelope of Q_k's sheafification, but an
+    envelope reads only stalks Q_k(U_x), where a presheaf and its
+    sheafification agree.  So d^k: G_k(X) -> G_{k+1}(X) is Q_k's unit at
+    X, each point x through G_k's restriction to U_x.  Every envelope
+    stalk is pruned, so the matrices stay the size of the groups they
+    present instead of carrying the images of every earlier level.
     """
     if max_degree > GODEMENT_DEGREE_CAP:
         raise CoverCapExceeded(GODEMENT_DEGREE_CAP, max_degree,
@@ -621,13 +615,10 @@ def sheaf_cohomology_godement(F: Presheaf, max_degree) -> list:
     gs_groups = [G.group(X)]
     gs_diffs = []
     for _ in range(max_degree + 1):
-        Q, to_pruned = _coker_presheaf(cur, G, unit)
-        QS = sheafify(Q)
-        cur = QS.plus
-        G, next_unit = godement_envelope(cur)
+        cur = _coker_presheaf(cur, G, unit)
+        G, unit = godement_envelope(cur)
         gs_groups.append(G.group(X))
-        gs_diffs.append(next_unit(X) * QS.unit_matrix(X) * to_pruned(X))
-        unit = next_unit
+        gs_diffs.append(unit(X))
     return _cochain_cohomology(gs_groups, gs_diffs)
 
 
@@ -641,30 +632,10 @@ def cech_cohomology(F: Presheaf, cover, max_degree) -> list:
     union = frozenset().union(*cover) if cover else frozenset()
     if union != frozenset(sp.points):
         raise SheafError("cover does not cover the space")
-
-    def inter(idxs):
-        out = cover[idxs[0]]
-        for i in idxs[1:]:
-            out = out & cover[i]
-        return out
-
     tuples = [list(itertools.combinations(range(len(cover)), p + 1))
               for p in range(max_degree + 2)]
-    parts = [[F.group(inter(t)) for t in tts] for tts in tuples]
-
-    def diff(p):
-        src_index = {t: i for i, t in enumerate(tuples[p])}
-        blocks = []
-        for r, t in enumerate(tuples[p + 1]):
-            for i in range(len(t)):
-                face = t[:i] + t[i + 1:]
-                blocks.append((r, src_index[face], (-1) ** i,
-                               F.restriction(inter(face), inter(t))))
-        return _block_matrix([g.rank for g in parts[p + 1]],
-                             [g.rank for g in parts[p]], blocks)
-
-    return _cochain_cohomology([direct_sum(ps) for ps in parts],
-                               [diff(p) for p in range(max_degree + 1)])
+    return _alternating_cohomology(
+        F, tuples, lambda t: frozenset.intersection(*(cover[i] for i in t)))
 
 
 def minimal_open_cover(space: FiniteSpace):

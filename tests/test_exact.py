@@ -264,9 +264,8 @@ class TestLattices:
             assert K.cols == c - rational_rank(A)
             B = image_basis(A)
             assert B.cols == rational_rank(A)
-            bsnf = smith_normal_form(B)
             for j in range(A.cols):
-                assert solve_exact(B, A.col(j), bsnf) is not None
+                assert solve_exact(B, A.col(j)) is not None
 
     def test_lattice_coordinates(self):
         rng = random.Random(12)

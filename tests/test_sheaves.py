@@ -283,16 +283,47 @@ class TestGodement:
           for n, s in [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (6, 3),
                        (7, 3), (8, 2)]]])
     def test_agrees_with_nerve_sweep(self, space, coeff):
-        F = constant_sheaf(space(), coeff)
-        for degree in (2, 3):
-            assert groups(sheaf_cohomology_godement(F, degree)) == \
-                groups(sheaf_cohomology_nerve(F, degree))
+        """Godement, the nerve and Cech agree on sheaves and on presheaves
+        that are not sheaves.  Godement and the nerve read F's stalks only,
+        so both give the cohomology of F's sheafification F+.  Cech reads
+        F on intersections of cover members, where a presheaf and F+ can
+        differ (the constant presheaf on a disconnected intersection), so it
+        runs on F+."""
+        X = space()
+        inputs = [constant_sheaf(X, coeff), constant_presheaf(X, coeff),
+                  skyscraper_sheaf(X, X.points[0], coeff)]
+        if len(X.points) <= 5:
+            inputs += [image_cochain_presheaf(X, d, coeff) for d in (0, 1)]
+        cover = minimal_open_cover(X)
+        for F in inputs:
+            plus = sheafify(F).plus
+            for degree in (2, 3):
+                h = groups(sheaf_cohomology_godement(F, degree))
+                assert h == groups(sheaf_cohomology_nerve(F, degree))
+                assert h == groups(cech_cohomology(plus, cover, degree))
+
+    @pytest.mark.parametrize("make", [
+        lambda: constant_sheaf(example03_space(), zmod(4)),
+        lambda: constant_presheaf(pseudocircle(), ZCOEFF)],
+        ids=["example03-Z/4", "constant-presheaf-pseudocircle"])
+    def test_makes_no_sheafify_call(self, monkeypatch, make):
+        """The envelopes read only stalks, where a presheaf and its
+        sheafification agree, so no level sheafifies its cokernel."""
+        F = make()
+        expected = groups(sheaf_cohomology_nerve(F, 3))
+
+        def refuse(F):
+            raise AssertionError(f"sheafify called on {F.name}")
+
+        monkeypatch.setattr(sheaves, "sheafify", refuse)
+        assert groups(sheaf_cohomology_godement(F, 3)) == expected
 
 
 class TestGodementPruning:
     """The groups the Godement pipeline hands to presented_cohomology_at
-    carry no relation with invariant factor 1, and each level's pruned
-    cokernel presheaf is well defined and functorial."""
+    carry no relation with invariant factor 1, because the envelope prunes
+    each stalk, and each level's cokernel presheaf, carried unpruned, is
+    well defined and functorial."""
 
     @staticmethod
     def capture(monkeypatch, X, coeff):
@@ -303,9 +334,9 @@ class TestGodementPruning:
             return presented_cohomology_at(groups, maps, degree)
 
         def spy_cokernel(F, G, unit):
-            Q, to_pruned = _coker_presheaf(F, G, unit)
+            Q = _coker_presheaf(F, G, unit)
             cokernels.append(Q)
-            return Q, to_pruned
+            return Q
 
         monkeypatch.setattr(sheaves, "presented_cohomology_at",
                             spy_cohomology)
